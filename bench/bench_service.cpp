@@ -11,14 +11,12 @@
 //  * `bench_service --json <path>` runs the curated scenario set once and
 //    writes the machine-readable perf artifact (committed to the repo as
 //    BENCH_service.json: cold/warm/disk/global-RS p50s, hit ratios, the
-//    telemetry-overhead measurement, the portfolio-vs-fixed-engine
-//    comparison, and the jobs=1 vs jobs=4 block-parallel globalrs pair).
-//    In this mode the process exits nonzero if tracing a cold solve costs
-//    more than kTelemetryOverheadBarPct ("telemetry stays off the hot
-//    path"), if solve-log record collection regresses the untraced cold
-//    path by more than the same bar ("the training corpus is free"), or if
-//    the jobs=1 portfolio race is more than kPortfolioBarPct slower than
-//    the best fixed proving engine ("the race harness is free").
+//    telemetry-overhead measurement, and the jobs=1 vs jobs=4
+//    block-parallel globalrs pair). In this mode the process exits nonzero
+//    if tracing a cold solve costs more than kTelemetryOverheadBarPct
+//    ("telemetry stays off the hot path") or if solve-log record collection
+//    regresses the untraced cold path by more than the same bar ("the
+//    training corpus is free").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,7 +25,6 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -399,8 +396,8 @@ int run_curated_json(const std::string& out_path) {
   // unconditional), one with spans on and every span rendered + written to
   // a real sink. Rounds alternate so drift hits both arms equally; one
   // sample per round = the whole batch's wall time (per-request samples
-  // over the mixed-size corpus are bimodal and gate on a coin flip — see
-  // the portfolio section).
+  // over the mixed-size corpus are bimodal: their median sits on the mode
+  // boundary, so a gate on it is a coin flip at small sample counts).
   constexpr int kOverheadRounds = 25;
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "rs_bench_trace.jsonl")
@@ -469,103 +466,13 @@ int run_curated_json(const std::string& out_path) {
                        : 0;
   const bool slog_within_bar = slog_overhead_pct < kTelemetryOverheadBarPct;
 
-  // Portfolio vs fixed engines, two measurements with distinct jobs.
-  //
-  // (1) Informational micro section: all five arms on the two kernels where
-  // every proving engine converges fast (on the larger corpus kernels the
-  // ILP runs into its budget, which would measure the budget, not the
-  // race). These solves are tens of microseconds, so the numbers carry
-  // predecessor-arm cache pollution of the same order as the race setup
-  // cost itself — report them, never gate on them. The jobs=4 race in
-  // particular: on a 1-hardware-thread host the racing losers share the
-  // winner's core, so its latency measures contention, not speedup.
-  // One sample per round = the whole batch's wall time (per-request samples
-  // across kernels of different sizes make a bimodal distribution whose
-  // median sits on the mode boundary — a coin flip at small sample counts).
-  const char* kPortfolioKernels[] = {"lin-ddot", "lin-dscal"};
-  std::vector<double> greedy_ms, exact_ms, ilp_ms, race1_ms, race4_ms;
-  const auto engine_batch = [](const char** kernels, std::size_t n,
-                               const char* engine, int jobs) {
-    std::vector<Request> batch;
-    std::uint64_t id = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string line = std::string("analyze kernel=") + kernels[i] +
-                         " engine=" + engine;
-      if (jobs > 0) line += " jobs=" + std::to_string(jobs);
-      batch.push_back(rs::service::parse_request_line(line, id++));
-    }
-    return batch;
-  };
-  constexpr int kPortfolioRounds = 25;
-  const struct {
-    const char* engine;
-    int jobs;
-    std::vector<double>* ms;
-  } arms[] = {{"greedy", 0, &greedy_ms},
-              {"exact", 0, &exact_ms},
-              {"ilp", 0, &ilp_ms},
-              {"portfolio", 1, &race1_ms},
-              {"portfolio", 4, &race4_ms}};
-  for (int r = -1; r < kPortfolioRounds; ++r) {
-    for (const auto& arm : arms) {
-      EngineConfig cfg;
-      cfg.threads = 4;
-      AnalysisEngine engine(cfg);  // fresh cache: every request computes
-      const rs::support::Timer t;
-      run_batch_timed(engine,
-                      engine_batch(kPortfolioKernels,
-                                   std::size(kPortfolioKernels), arm.engine,
-                                   arm.jobs),
-                      nullptr, nullptr);
-      if (r >= 0) arm.ms->push_back(t.millis());
-    }
-  }
-  const double exact_p50 = p50_of(exact_ms);
-  const double ilp_p50 = p50_of(ilp_ms);
-  // Greedy is excluded from the fixed baseline: its answers are unproven
-  // estimates, not the same deliverable the portfolio guarantees.
-  const double best_fixed_p50 = std::min(exact_p50, ilp_p50);
-  const double race1_p50 = p50_of(race1_ms);
-
-  // (2) The gated regression bar, on kernels big enough to represent real
-  // requests (exact solves in hundreds of microseconds, so a microsecond of
-  // race setup is noise, not a percentage). On these kernels the exact
-  // combinatorial engine IS the best fixed proving strategy: greedy is
-  // unproven and the ILP cannot prove within any sane budget (the micro
-  // section above shows it ~30x slower even on its friendliest kernels).
-  // The two gated arms strictly alternate so each one's only predecessor is
-  // the other — identical cache/allocator pollution on both sides — and two
-  // warm-up rounds flush the earlier arms' state before sampling starts.
-  const char* kGatedKernels[] = {"fir8", "liv-loop7"};
-  std::vector<double> gated_exact_ms, gated_race_ms;
-  for (int r = -2; r < kPortfolioRounds; ++r) {
-    for (const bool portfolio : {false, true}) {
-      EngineConfig cfg;
-      cfg.threads = 4;
-      AnalysisEngine engine(cfg);
-      const rs::support::Timer t;
-      run_batch_timed(engine,
-                      engine_batch(kGatedKernels, std::size(kGatedKernels),
-                                   portfolio ? "portfolio" : "exact",
-                                   portfolio ? 1 : 0),
-                      nullptr, nullptr);
-      if (r >= 0) {
-        (portfolio ? &gated_race_ms : &gated_exact_ms)->push_back(t.millis());
-      }
-    }
-  }
-  constexpr double kPortfolioBarPct = 5.0;
-  const double gated_exact_p50 = p50_of(gated_exact_ms);
-  const double gated_race_p50 = p50_of(gated_race_ms);
-  const bool portfolio_within_bar =
-      gated_race_p50 <= gated_exact_p50 * (1.0 + kPortfolioBarPct / 100.0);
-
   // Intra-request block parallelism: the same cold globalrs solve of a
   // 4-block program at jobs=1 vs jobs=4 on a 4-worker engine. On hosts
   // with >= 4 hardware threads the speedup approaches the block count;
   // hardware_threads is recorded so consumers can judge the number.
+  constexpr int kParallelRounds = 25;
   std::vector<double> grs_jobs1_ms, grs_jobs4_ms;
-  for (int r = 0; r < kPortfolioRounds; ++r) {
+  for (int r = 0; r < kParallelRounds; ++r) {
     for (int jobs : {1, 4}) {
       EngineConfig cfg;
       cfg.threads = 4;
@@ -606,22 +513,6 @@ int run_curated_json(const std::string& out_path) {
      << "  \"globalrs_warm_p50_ms\": " << f(p50_of(grs_warm_ms)) << ",\n"
      << "  \"warm_hit_rate\": " << f(warm_hit_rate) << ",\n"
      << "  \"disk_hit_ratio\": " << f(disk_hit_ratio) << ",\n"
-     << "  \"portfolio\": {\n"
-     << "    \"rounds\": " << kPortfolioRounds << ",\n"
-     << "    \"micro_kernels\": \"lin-ddot,lin-dscal\",\n"
-     << "    \"greedy_p50_ms\": " << f(p50_of(greedy_ms)) << ",\n"
-     << "    \"exact_p50_ms\": " << f(exact_p50) << ",\n"
-     << "    \"ilp_p50_ms\": " << f(ilp_p50) << ",\n"
-     << "    \"best_fixed_p50_ms\": " << f(best_fixed_p50) << ",\n"
-     << "    \"portfolio_p50_ms\": " << f(race1_p50) << ",\n"
-     << "    \"portfolio_jobs4_p50_ms\": " << f(p50_of(race4_ms)) << ",\n"
-     << "    \"gated_kernels\": \"fir8,liv-loop7\",\n"
-     << "    \"gated_exact_p50_ms\": " << f(gated_exact_p50) << ",\n"
-     << "    \"gated_portfolio_p50_ms\": " << f(gated_race_p50) << ",\n"
-     << "    \"bar_pct\": " << f(kPortfolioBarPct) << ",\n"
-     << "    \"within_bar\": " << (portfolio_within_bar ? "true" : "false")
-     << "\n"
-     << "  },\n"
      << "  \"parallel\": {\n"
      << "    \"program\": \"diamond\",\n"
      << "    \"blocks\": 4,\n"
@@ -668,12 +559,7 @@ int run_curated_json(const std::string& out_path) {
                "(%+.2f%%, bar %.1f%%) -> %s\n",
                slog_off_p50, slog_on_p50, slog_overhead_pct,
                kTelemetryOverheadBarPct, slog_within_bar ? "OK" : "FAIL");
-  std::fprintf(stderr,
-               "portfolio: gated p50 %.4f ms vs exact %.4f ms (bar +%.1f%%) "
-               "-> %s\n",
-               gated_race_p50, gated_exact_p50, kPortfolioBarPct,
-               portfolio_within_bar ? "OK" : "FAIL");
-  return within_bar && slog_within_bar && portfolio_within_bar ? 0 : 1;
+  return within_bar && slog_within_bar ? 0 : 1;
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ GlobalReport analyze(const Cfg& cfg, const core::AnalyzeOptions& opts,
   report.blocks.resize(n);
   const Fanout fan = plan_fanout(n, exec);
   report.blocks_parallel = fan.parallel_blocks;
-  std::vector<core::PortfolioTally> tallies(n);
 
   support::TaskGroup group(fan.pool);
   for (int b = 0; b < n; ++b) {
@@ -65,10 +64,9 @@ GlobalReport analyze(const Cfg& cfg, const core::AnalyzeOptions& opts,
         }
       } else {
         const core::SaturationReport block_report =
-            core::analyze(dag, opts, solve.split(fan.waves), exec);
+            core::analyze(dag, opts, solve.split(fan.waves));
         bs.per_type = block_report.per_type;
         bs.stats = block_report.stats;
-        tallies[b] = block_report.portfolio;
       }
       report.blocks[b] = std::move(bs);
     });
@@ -83,7 +81,6 @@ GlobalReport analyze(const Cfg& cfg, const core::AnalyzeOptions& opts,
       report.all_proven = report.all_proven && bs.per_type[t].proven;
     }
     report.stats.merge(bs.stats);
-    report.portfolio.merge(tallies[b]);
   }
   return report;
 }
@@ -112,8 +109,8 @@ GlobalReduceResult ensure_limits(const Cfg& cfg, const std::vector<int>& limits,
   for (int b = 0; b < n; ++b) {
     group.run([&, b] {
       const ddg::Ddg dag = cfg.expand_block(b);
-      result.details[b] = core::ensure_limits(dag, effective, opts,
-                                              solve.split(fan.waves), exec);
+      result.details[b] =
+          core::ensure_limits(dag, effective, opts, solve.split(fan.waves));
     });
   }
   group.wait();
@@ -126,7 +123,6 @@ GlobalReduceResult ensure_limits(const Cfg& cfg, const std::vector<int>& limits,
       result.note += "block " + cfg.block(b).name + ": " + block_result.note;
     }
     result.blocks.push_back(block_result.out);
-    result.portfolio.merge(block_result.portfolio);
   }
   return result;
 }

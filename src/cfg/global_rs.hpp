@@ -17,6 +17,7 @@
 #pragma once
 
 #include "cfg/cfg.hpp"
+#include "core/exec.hpp"
 #include "core/saturation.hpp"
 
 namespace rs::cfg {
@@ -37,8 +38,6 @@ struct GlobalReport {
   bool all_proven = true;
   /// Aggregate over all blocks.
   support::SolveStats stats;
-  /// Race outcomes over all blocks (Portfolio engine only).
-  core::PortfolioTally portfolio;
   /// Blocks fanned onto the pool (0 when the request ran serially).
   int blocks_parallel = 0;
 };
@@ -62,8 +61,6 @@ struct GlobalReduceResult {
   std::vector<core::PipelineResult> details;
   bool success = true;
   std::string note;
-  /// Race outcomes over all blocks (Portfolio engine only).
-  core::PortfolioTally portfolio;
   /// Blocks fanned onto the pool (0 when the request ran serially).
   int blocks_parallel = 0;
 };

@@ -1,8 +1,9 @@
-// Execution resources threaded through the core solvers: an optional shared
-// ThreadPool plus a jobs override. Core algorithms stay correct with the
-// default (`Exec{}` — no pool, serial): every parallel code path is written
-// against TaskGroup, which degrades to inline execution when the pool is
-// null, so serial and parallel runs share one code path and one result.
+// Execution resources for the per-block fan-out of cfg::analyze and
+// cfg::ensure_limits: an optional shared ThreadPool plus a jobs override.
+// Results stay correct with the default (`Exec{}` — no pool, serial): the
+// fan-out is written against TaskGroup, which degrades to inline execution
+// when the pool is null, so serial and parallel runs share one code path
+// and one result.
 //
 // The pool is *borrowed* — the service engine owns it and its workers are
 // the callers, which is why fan-out uses submit_nested/TaskGroup (see

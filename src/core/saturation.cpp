@@ -1,7 +1,6 @@
 #include "core/saturation.hpp"
 
 #include "core/greedy_k.hpp"
-#include "core/portfolio.hpp"
 #include "core/rs_exact.hpp"
 #include "core/rs_ilp.hpp"
 #include "graph/paths.hpp"
@@ -18,7 +17,7 @@ bool SaturationReport::fits(const std::vector<int>& limits) const {
 }
 
 SaturationReport analyze(const ddg::Ddg& ddg, const AnalyzeOptions& opts,
-                         const support::SolveContext& solve, const Exec& exec) {
+                         const support::SolveContext& solve) {
   SaturationReport report;
   for (ddg::RegType t = 0; t < ddg.type_count(); ++t) {
     // Even split of whatever budget is left over the types still to run.
@@ -54,17 +53,6 @@ SaturationReport analyze(const ddg::Ddg& ddg, const AnalyzeOptions& opts,
         ts.stats = res.solve_stats;
         break;
       }
-      case RsEngine::Portfolio: {
-        PortfolioOptions popts;
-        popts.greedy = opts.greedy;
-        const PortfolioResult res = rs_portfolio(ctx, popts, type_solve, exec);
-        ts.rs = res.rs;
-        ts.proven = res.proven;
-        ts.witness = res.witness;
-        ts.stats = res.stats;  // canonical: zeroed counters, stop kept
-        report.portfolio.merge(res.tally);
-        break;
-      }
     }
     report.stats.merge(ts.stats);
     report.per_type.push_back(std::move(ts));
@@ -76,17 +64,16 @@ namespace {
 
 // Verification step of the reduce pipeline, selected by the analyze engine:
 // the combinatorial branch-and-bound for Greedy and ExactCombinatorial (the
-// historical behavior, byte-identical), the intLP for ExactIlp, and the
-// strategy race for Portfolio. Proven engines agree on RS, so the choice
-// affects latency and stats, never the reduction decision.
+// historical behavior, byte-identical) and the intLP for ExactIlp. Proven
+// engines agree on RS, so the choice affects latency and stats, never the
+// reduction decision.
 struct VerifyOutcome {
   int rs = 0;
   support::SolveStats stats;
-  PortfolioTally tally;
 };
 
 VerifyOutcome verify_rs(const TypeContext& ctx, const PipelineOptions& opts,
-                        const support::SolveContext& solve, const Exec& exec) {
+                        const support::SolveContext& solve) {
   VerifyOutcome v;
   switch (opts.analyze.engine) {
     case RsEngine::Greedy:
@@ -102,15 +89,6 @@ VerifyOutcome verify_rs(const TypeContext& ctx, const PipelineOptions& opts,
       v.stats = r.solve_stats;
       break;
     }
-    case RsEngine::Portfolio: {
-      PortfolioOptions popts;
-      popts.greedy = opts.analyze.greedy;
-      const PortfolioResult r = rs_portfolio(ctx, popts, solve, exec);
-      v.rs = r.rs;
-      v.stats = r.stats;  // canonical: zeroed counters, stop kept
-      v.tally = r.tally;
-      break;
-    }
   }
   return v;
 }
@@ -119,11 +97,10 @@ VerifyOutcome verify_rs(const TypeContext& ctx, const PipelineOptions& opts,
 
 PipelineResult ensure_limits(const ddg::Ddg& ddg, const std::vector<int>& limits,
                              const PipelineOptions& opts,
-                             const support::SolveContext& solve,
-                             const Exec& exec) {
+                             const support::SolveContext& solve) {
   RS_REQUIRE(static_cast<int>(limits.size()) == ddg.type_count(),
              "one register limit per type");
-  PipelineResult result{ddg, {}, true, {}, {}, {}};
+  PipelineResult result{ddg, {}, true, {}, {}};
 
   for (ddg::RegType t = 0; t < ddg.type_count(); ++t) {
     RS_REQUIRE(limits[t] >= 1, "need at least one register per type");
@@ -172,9 +149,8 @@ PipelineResult ensure_limits(const ddg::Ddg& ddg, const std::vector<int>& limits
       // needed.
       for (int extra = 0; extra < 4; ++extra) {
         TypeContext vctx(*red.extended, t);
-        const VerifyOutcome verify = verify_rs(vctx, opts, type_solve, exec);
+        const VerifyOutcome verify = verify_rs(vctx, opts, type_solve);
         red.stats.merge(verify.stats);
-        result.portfolio.merge(verify.tally);
         if (verify.rs <= limits[t]) {
           red.achieved_rs = verify.rs;
           break;

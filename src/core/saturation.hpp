@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
-#include "core/portfolio.hpp"
+#include "core/greedy_k.hpp"
 #include "core/reduce.hpp"
 
 namespace rs::core {
@@ -21,7 +20,6 @@ enum class RsEngine {
   Greedy,            // heuristic only (witnessed lower estimate)
   ExactCombinatorial,  // branch-and-bound over killing functions
   ExactIlp,          // the section-3 intLP
-  Portfolio,         // race all of the above; first proven answer wins
 };
 
 struct AnalyzeOptions {
@@ -41,7 +39,6 @@ struct TypeSaturation {
 struct SaturationReport {
   std::vector<TypeSaturation> per_type;
   support::SolveStats stats;  // aggregate over all types
-  PortfolioTally portfolio;   // race outcomes (engine == Portfolio only)
 
   const TypeSaturation& of(ddg::RegType t) const { return per_type[t]; }
   /// True when rs <= limits[t] for every type (no reduction needed).
@@ -53,11 +50,8 @@ struct SaturationReport {
 /// is still reported for completeness. The context's budget is split evenly
 /// across the types still to analyze (each type gets remaining / types_left
 /// seconds, so an easy early type donates its slack to the later ones).
-/// `exec` supplies the pool the Portfolio engine races strategies on; the
-/// other engines ignore it.
 SaturationReport analyze(const ddg::Ddg& ddg, const AnalyzeOptions& opts = {},
-                         const support::SolveContext& solve = {},
-                         const Exec& exec = {});
+                         const support::SolveContext& solve = {});
 
 struct PipelineOptions {
   AnalyzeOptions analyze;
@@ -78,7 +72,6 @@ struct PipelineResult {
   bool success = true;               // all types within limits
   std::string note;                  // diagnostics when success is false
   support::SolveStats stats;         // aggregate over all types' sub-solves
-  PortfolioTally portfolio;          // verify-race outcomes (Portfolio only)
 };
 
 /// Runs the full early-register-pressure pipeline against per-type register
@@ -87,11 +80,9 @@ struct PipelineResult {
 /// context stops between types and reports the remaining ones as LimitHit.
 /// The verification engine follows opts.analyze.engine: the exact
 /// branch-and-bound for Greedy/ExactCombinatorial (the historical
-/// behavior), the intLP for ExactIlp, and the strategy race — on `exec`'s
-/// pool — for Portfolio.
+/// behavior) and the intLP for ExactIlp.
 PipelineResult ensure_limits(const ddg::Ddg& ddg, const std::vector<int>& limits,
                              const PipelineOptions& opts = {},
-                             const support::SolveContext& solve = {},
-                             const Exec& exec = {});
+                             const support::SolveContext& solve = {});
 
 }  // namespace rs::core

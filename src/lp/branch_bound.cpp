@@ -33,7 +33,7 @@ struct Search {
   long long bound_improvements = 0;
   int max_depth = 0;
   bool maximize;
-  /// Mid-LP interruption (portfolio cancel, deadline): without it a long
+  /// Mid-LP interruption (request cancel, deadline): without it a long
   /// relaxation pins the search until the next per-node limits_hit check.
   std::function<bool()> lp_stop;
 

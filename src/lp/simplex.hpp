@@ -43,7 +43,7 @@ class SimplexSolver {
 
   /// Solves with the model's own bounds. `stop` (when set) is polled every
   /// few dozen pivots; firing aborts the solve with LpStatus::IterLimit —
-  /// the hook that lets a cancelled portfolio loser or an expired deadline
+  /// the hook that lets a cancelled request or an expired deadline
   /// interrupt a long relaxation mid-solve instead of at the next
   /// branch-and-bound node.
   LpResult solve(int max_iterations = 50000,

@@ -5,7 +5,6 @@
 
 #include "cfg/canon.hpp"
 #include "cfg/cfg.hpp"
-#include "core/portfolio.hpp"
 #include "graph/paths.hpp"
 #include "graph/topo.hpp"
 #include "service/trace.hpp"
@@ -14,17 +13,6 @@
 namespace rs::service {
 
 namespace {
-
-/// Modal winning strategy across a request's races (most types/blocks won;
-/// ties to the higher-priority strategy). "" when nothing raced.
-const char* modal_winner(const ResultPayload::RaceTelemetry& race) {
-  if (race.races <= 0) return "";
-  int best = 0;
-  for (int i = 1; i < core::kStrategyCount; ++i) {
-    if (race.wins[i] > race.wins[best]) best = i;
-  }
-  return core::strategy_token(static_cast<core::Strategy>(best));
-}
 
 /// Critical path (latency-weighted, as graph::critical_path) and peak
 /// level width (most operations sharing one unit-depth level) in a single
@@ -389,9 +377,14 @@ Response AnalysisEngine::process(Request req, support::Timer started,
           timed_out_.inc();
         }
       }
-      // Portfolio/fan-out observability: only computed solves race (cache
-      // hits carry an all-zero telemetry block).
-      if (payload->race.any()) record_race(req.op, payload->race);
+      // Fan-out observability: only computed solves fan out (cache hits
+      // carry zero). A lazy, name-hashed registry lookup is fine off the
+      // cache-hit fast path.
+      if (payload->blocks_parallel > 0) {
+        metrics_
+            .counter("op." + std::string(req.op->name()) + ".parallel_blocks")
+            .inc(static_cast<std::uint64_t>(payload->blocks_parallel));
+      }
       own_promise.set_value(payload);
       support::LockGuard lock(flight_mu_);
       inflight_.erase(key);
@@ -440,8 +433,7 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     span->tier = store_tier_token(resp.tier);
     span->stop = support::stop_cause_token(resp.payload->stats.stop);
     span->nodes = resp.payload->stats.nodes;
-    span->winner = modal_winner(resp.payload->race);
-    span->blocks_parallel = resp.payload->race.blocks_parallel;
+    span->blocks_parallel = resp.payload->blocks_parallel;
     span->total_ms = resp.millis;
     resp.trace = std::move(span);
   }
@@ -451,7 +443,6 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     slog->tier = store_tier_token(resp.tier);
     slog->stop = support::stop_cause_token(resp.payload->stats.stop);
     slog->nodes = resp.payload->stats.nodes;
-    slog->winner = modal_winner(resp.payload->race);
     slog->parse_ms = req.parse_ms;
     slog->solve_ms = solve_ms;
     slog->total_ms = resp.millis;
@@ -471,9 +462,9 @@ AnalysisEngine::SharedPayload AnalysisEngine::compute(
   // pin a worker past the structural node limits' worst case.
   const support::SolveContext solve =
       support::SolveContext(req.budget_seconds, token).with_profile(&profile_);
-  // Operations that fan out (portfolio races, per-block solves) borrow the
-  // engine's own pool via nested-task submission; this worker participates
-  // through TaskGroup::wait, so handing it our pool cannot deadlock.
+  // Operations that fan out (per-block solves) borrow the engine's own pool
+  // via nested-task submission; this worker participates through
+  // TaskGroup::wait, so handing it our pool cannot deadlock.
   const RunEnv env{&pool_, req.jobs};
   try {
     req.op->run(req, normalized, env, solve, payload.get());
@@ -484,34 +475,6 @@ AnalysisEngine::SharedPayload AnalysisEngine::compute(
     payload->out_ddg.clear();
   }
   return payload;
-}
-
-void AnalysisEngine::record_race(const Operation* op,
-                                 const ResultPayload::RaceTelemetry& race) {
-  // Lazy registry lookups (name-hashed, under the registry mutex) are fine
-  // here: this only runs on computed solves that actually raced, never on
-  // the cache-hit fast path.
-  const std::string prefix = "op." + std::string(op->name()) + ".";
-  if (race.races > 0) {
-    metrics_.counter(prefix + "portfolio.races")
-        .inc(static_cast<std::uint64_t>(race.races));
-    for (int i = 0; i < core::kStrategyCount; ++i) {
-      if (race.wins[i] > 0) {
-        metrics_
-            .counter(prefix + "portfolio.wins." +
-                     core::strategy_token(static_cast<core::Strategy>(i)))
-            .inc(static_cast<std::uint64_t>(race.wins[i]));
-      }
-    }
-    if (race.losers_cancelled > 0) {
-      metrics_.counter(prefix + "portfolio.cancelled")
-          .inc(static_cast<std::uint64_t>(race.losers_cancelled));
-    }
-  }
-  if (race.blocks_parallel > 0) {
-    metrics_.counter(prefix + "parallel_blocks")
-        .inc(static_cast<std::uint64_t>(race.blocks_parallel));
-  }
 }
 
 void AnalysisEngine::record_op(const Operation* op, const Response& resp,

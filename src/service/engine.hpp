@@ -92,10 +92,10 @@ struct Request {
   /// splitting included). <= 0 selects the engine default
   /// (kDefaultBudgetSeconds) so no request holds a worker indefinitely.
   double budget_seconds = 0;
-  /// Intra-request concurrency cap (portfolio races, per-block fan-out):
-  /// <= 0 means the pool's thread count. A pure execution knob — results
-  /// are byte-identical for any value, so it is *not* part of the cache
-  /// key.
+  /// Intra-request concurrency cap (per-block fan-out of program
+  /// operations): <= 0 means the pool's thread count. A pure execution
+  /// knob — results are byte-identical for any value, so it is *not* part
+  /// of the cache key.
   int jobs = 0;
   /// Ask the protocol renderer to include the operation's output DDG text
   /// in the result line (ops that emit one). The text is always computed
@@ -128,21 +128,12 @@ struct ResultPayload {
   /// Aggregate solver statistics (nodes, prunes, stop cause) for the
   /// request. stop == Cancelled payloads are never admitted to the cache.
   support::SolveStats stats;
-  /// Portfolio/fan-out observability for the run that produced this
-  /// payload: race counts, per-strategy wins, cancelled losers, and how
-  /// many blocks ran in parallel. Timing-dependent by design, so it is
-  /// neither encoded nor rendered — it only feeds op.*.portfolio.* /
-  /// op.*.parallel_blocks counters and trace spans, and is all-zero on
+  /// Blocks the run that produced this payload fanned onto the pool
+  /// (program operations only). Depends on jobs= and the pool, not on the
+  /// input, so it is neither encoded nor rendered — it only feeds the
+  /// op.<name>.parallel_blocks counter and trace spans, and is zero on
   /// cache hits.
-  struct RaceTelemetry {
-    long long races = 0;
-    long long wins[4] = {0, 0, 0, 0};  // indexed by core::Strategy
-    long long losers_cancelled = 0;
-    long long blocks_parallel = 0;
-
-    bool any() const { return races != 0 || blocks_parallel != 0; }
-  };
-  RaceTelemetry race;
+  long long blocks_parallel = 0;
 
   bool cancelled() const {
     return stats.stop == support::StopCause::Cancelled;
@@ -332,8 +323,6 @@ class AnalysisEngine {
                         const support::CancelToken& token);
   void record_op(const Operation* op, const Response& resp, bool counted_hit,
                  bool counted_miss) RSAT_EXCLUDES(op_mu_);
-  void record_race(const Operation* op,
-                   const ResultPayload::RaceTelemetry& race);
 
   EngineConfig cfg_;
   /// Declared before store_/pool_: both register their metrics here during

@@ -48,10 +48,9 @@ struct Request;        // service/engine.hpp
 struct ResultPayload;  // service/engine.hpp
 
 /// Execution resources the engine hands an operation's run(): the shared
-/// worker pool (for portfolio races and per-block fan-out, via nested-task
-/// submission) plus the request's jobs= concurrency cap. Null pool — the
-/// default — means "run serially"; operations must produce byte-identical
-/// results either way.
+/// worker pool (for per-block fan-out, via nested-task submission) plus the
+/// request's jobs= concurrency cap. Null pool — the default — means "run
+/// serially"; operations must produce byte-identical results either way.
 struct RunEnv {
   support::ThreadPool* pool = nullptr;
   int jobs = 0;  // <= 0: pool thread count

@@ -22,7 +22,7 @@ class AnalyzeOperation final : public Operation {
   // cache key (memory and disk) addressable.
   std::uint64_t digest_tag() const override { return 0; }
   std::string_view synopsis() const override {
-    return "[engine=greedy|exact|ilp|portfolio]";
+    return "[engine=greedy|exact|ilp]";
   }
   std::string_view example_options() const override { return ""; }
 
@@ -48,10 +48,10 @@ class AnalyzeOperation final : public Operation {
   void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
            const support::SolveContext& solve,
            ResultPayload* out) const override {
+    static_cast<void>(env);  // one DAG, types solved in order; no fan-out
     const core::SaturationReport report =
-        core::analyze(normalized, opts_of(req).core, solve, ops::exec_from(env));
+        core::analyze(normalized, opts_of(req).core, solve);
     out->stats = report.stats;
-    ops::fill_race(report.portfolio, out);
     auto data = std::make_shared<AnalyzeData>();
     for (const core::TypeSaturation& t : report.per_type) {
       data->per_type.push_back(

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 
+#include "core/exec.hpp"
 #include "core/saturation.hpp"
 #include "service/engine.hpp"
 #include "support/assert.hpp"
@@ -51,12 +52,15 @@ inline bool flag_from(const std::map<std::string, std::string>& fields,
   return it->second == "1";
 }
 
-/// engine= token to RS engine; throws on an unknown token.
+/// engine= token to RS engine; throws on an unknown token. "portfolio" is
+/// an accepted alias of "exact", kept so existing clients keep working:
+/// such a request shares exact's result and cache key.
 inline core::RsEngine engine_from_token(const std::string& e) {
   if (e == "greedy") return core::RsEngine::Greedy;
-  if (e == "exact") return core::RsEngine::ExactCombinatorial;
+  if (e == "exact" || e == "portfolio") {
+    return core::RsEngine::ExactCombinatorial;
+  }
   if (e == "ilp") return core::RsEngine::ExactIlp;
-  if (e == "portfolio") return core::RsEngine::Portfolio;
   RS_REQUIRE(false, "unknown engine '" + e + "' (greedy|exact|ilp|portfolio)");
   return core::RsEngine::Greedy;
 }
@@ -64,16 +68,6 @@ inline core::RsEngine engine_from_token(const std::string& e) {
 /// RunEnv to the core execution descriptor (pool + jobs cap).
 inline core::Exec exec_from(const RunEnv& env) {
   return core::Exec{env.pool, env.jobs};
-}
-
-/// Copies a core tally into the payload's service-side telemetry block
-/// (kept as plain scalars so engine.hpp stays free of core solver types).
-inline void fill_race(const core::PortfolioTally& tally, ResultPayload* out) {
-  out->race.races = tally.races;
-  for (int i = 0; i < core::kStrategyCount; ++i) {
-    out->race.wins[i] = tally.wins[i];
-  }
-  out->race.losers_cancelled = tally.losers_cancelled;
 }
 
 }  // namespace rs::service::ops

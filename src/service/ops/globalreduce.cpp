@@ -24,7 +24,7 @@ class GlobalReduceOperation final : public Operation {
   PayloadKind payload_kind() const override { return PayloadKind::Program; }
   std::string_view synopsis() const override {
     return "limits=<n>[,<n>...] [margin=<n>] "
-           "[engine=greedy|exact|ilp|portfolio] [exact=0|1] [verify=0|1]";
+           "[engine=greedy|exact|ilp] [exact=0|1] [verify=0|1]";
   }
   std::string_view example_options() const override { return "limits=6,6"; }
 
@@ -61,8 +61,7 @@ class GlobalReduceOperation final : public Operation {
     d->add(o.limits.size());
     for (const int l : o.limits) d->add(static_cast<std::uint64_t>(l) + 1);
     // Appended conditionally so the default engine digests exactly as
-    // before engine= existed — every pre-portfolio cache entry keeps its
-    // key.
+    // before engine= existed — every older cache entry keeps its key.
     if (o.pipeline.analyze.engine != core::RsEngine::ExactCombinatorial) {
       d->add(static_cast<std::uint64_t>(o.pipeline.analyze.engine) + 1);
     }
@@ -81,8 +80,7 @@ class GlobalReduceOperation final : public Operation {
                    " register limits, got " + std::to_string(o.limits.size()));
     const cfg::GlobalReduceResult result = cfg::ensure_limits(
         prog, o.limits, o.margin, o.pipeline, solve, ops::exec_from(env));
-    ops::fill_race(result.portfolio, out);
-    out->race.blocks_parallel = result.blocks_parallel;
+    out->blocks_parallel = result.blocks_parallel;
     out->success = result.success;
     if (!result.success) out->error = result.note;
     auto data = std::make_shared<GlobalReduceData>();

@@ -51,7 +51,7 @@ class GlobalRsOperation final : public Operation {
   std::uint64_t digest_tag() const override { return 5; }
   PayloadKind payload_kind() const override { return PayloadKind::Program; }
   std::string_view synopsis() const override {
-    return "[engine=greedy|exact|ilp|portfolio]";
+    return "[engine=greedy|exact|ilp]";
   }
   std::string_view example_options() const override { return ""; }
 
@@ -84,8 +84,7 @@ class GlobalRsOperation final : public Operation {
     const cfg::GlobalReport report =
         cfg::analyze(prog, opts_of(req).core, solve, ops::exec_from(env));
     out->stats = report.stats;
-    ops::fill_race(report.portfolio, out);
-    out->race.blocks_parallel = report.blocks_parallel;
+    out->blocks_parallel = report.blocks_parallel;
     auto data = std::make_shared<GlobalRsData>();
     const std::vector<int> order = ops::canonical_block_order(prog);
     for (std::size_t i = 0; i < order.size(); ++i) {

@@ -3,7 +3,6 @@
 #include <ostream>
 #include <utility>
 
-#include "core/portfolio.hpp"
 #include "ddg/io.hpp"
 #include "graph/paths.hpp"
 #include "service/codec.hpp"
@@ -24,7 +23,7 @@ class MinRegOperation final : public Operation {
   std::string_view name() const override { return "minreg"; }
   std::uint64_t digest_tag() const override { return 2; }
   std::string_view synopsis() const override {
-    return "[cp=<n>] [engine=exact|portfolio] [emit=0|1]";
+    return "[cp=<n>] [engine=exact] [emit=0|1]";
   }
   std::string_view example_options() const override { return ""; }
 
@@ -45,11 +44,11 @@ class MinRegOperation final : public Operation {
     }
     if (const auto it = fields.find("engine"); it != fields.end()) {
       // Minimization has no greedy/ilp engine; reject rather than silently
-      // run something other than what was asked for.
+      // run something other than what was asked for. "portfolio" is an
+      // accepted alias of "exact" (see ops::engine_from_token).
       RS_REQUIRE(it->second == "exact" || it->second == "portfolio",
                  "minreg engine= must be exact or portfolio, got '" +
                      it->second + "'");
-      opts->portfolio = it->second == "portfolio";
     }
     req->want_ddg = ops::flag_from(fields, "emit", false);
     req->options = std::move(opts);
@@ -57,16 +56,12 @@ class MinRegOperation final : public Operation {
 
   void digest_options(const Request& req, OptionDigest* d) const override {
     d->add(static_cast<std::uint64_t>(opts_of(req).cp_budget));
-    // Conditional so every pre-portfolio cache entry keeps its key: the
-    // default engine digests exactly as before, and portfolio results are
-    // byte-identical to exact ones anyway — the split only separates their
-    // canonicalized (zeroed) stats counters from exact's real ones.
-    if (opts_of(req).portfolio) d->add(1);
   }
 
   void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
            const support::SolveContext& solve,
            ResultPayload* out) const override {
+    static_cast<void>(env);  // types minimized in order on one DAG
     const MinRegOpOptions& o = opts_of(req);
     if (o.cp_budget > 0) {
       const auto cp = graph::critical_path(normalized.graph());
@@ -78,21 +73,11 @@ class MinRegOperation final : public Operation {
     auto data = std::make_shared<MinRegData>();
     ddg::Ddg cur = normalized;
     bool all_proven = true;
-    core::PortfolioTally tally;
     for (ddg::RegType t = 0; t < cur.type_count(); ++t) {
       const core::TypeContext ctx(cur, t);
-      const core::SrcOptions sopts;
-      core::MinRegResult r;
-      if (o.portfolio) {
-        core::MinRegRaceResult raced = core::minreg_portfolio(
-            ctx, o.cp_budget, sopts, core::ArcLatencyMode::General, solve,
-            ops::exec_from(env));
-        r = std::move(raced.result);
-        tally.merge(raced.tally);
-      } else {
-        r = core::minimize_register_need(
-            ctx, o.cp_budget, sopts, core::ArcLatencyMode::General, solve);
-      }
+      core::MinRegResult r = core::minimize_register_need(
+          ctx, o.cp_budget, core::SrcOptions{}, core::ArcLatencyMode::General,
+          solve);
       out->stats.merge(r.stats);
       data->per_type.push_back(
           TypeMinReg{t, r.min_need, r.proven, r.arcs_added});
@@ -101,7 +86,6 @@ class MinRegOperation final : public Operation {
       // every type's minimal-need schedule simultaneously.
       if (r.extended.has_value()) cur = std::move(*r.extended);
     }
-    ops::fill_race(tally, out);
     data->critical_path =
         static_cast<long long>(graph::critical_path(cur.graph()));
     out->success = all_proven;

@@ -34,11 +34,6 @@ struct MinRegOpOptions : OpOptions {
   /// Makespan budget in cycles; <= 0 means the current DAG's critical path
   /// (the paper's footnote-4 "under critical path constraints").
   sched::Time cp_budget = 0;
-  /// Race the upward ladder against a binary search on R (engine=portfolio)
-  /// instead of running the ladder alone (engine=exact, the default). The
-  /// greedy/ilp RS engines do not apply to minimization and are rejected at
-  /// parse time.
-  bool portfolio = false;
 };
 
 const Operation& minreg_operation();

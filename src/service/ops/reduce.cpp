@@ -42,7 +42,7 @@ class ReduceOperation final : public Operation {
   // Grandfathered from RequestKind::Reduce == 1 (see analyze.cpp).
   std::uint64_t digest_tag() const override { return 1; }
   std::string_view synopsis() const override {
-    return "limits=<n>[,<n>...] [engine=greedy|exact|ilp|portfolio] "
+    return "limits=<n>[,<n>...] [engine=greedy|exact|ilp] "
            "[exact=0|1] [verify=0|1] [emit=0|1]";
   }
   std::string_view example_options() const override { return "limits=6,6"; }
@@ -89,15 +89,15 @@ class ReduceOperation final : public Operation {
   void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
            const support::SolveContext& solve,
            ResultPayload* out) const override {
+    static_cast<void>(env);  // one DAG, types reduced in order; no fan-out
     const ReduceOpOptions& o = opts_of(req);
     RS_REQUIRE(static_cast<int>(o.limits.size()) == normalized.type_count(),
                "need " + std::to_string(normalized.type_count()) +
                    " register limits, got " +
                    std::to_string(o.limits.size()));
-    const core::PipelineResult result = core::ensure_limits(
-        normalized, o.limits, o.pipeline, solve, ops::exec_from(env));
+    const core::PipelineResult result =
+        core::ensure_limits(normalized, o.limits, o.pipeline, solve);
     out->stats = result.stats;
-    ops::fill_race(result.portfolio, out);
     out->success = result.success;
     if (!result.success) out->error = result.note;
     auto data = std::make_shared<ReduceData>();

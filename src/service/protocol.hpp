@@ -9,14 +9,14 @@
 // each operation lives with the operation, so this grammar never needs
 // editing to add a workload. The built-in operations:
 //
-//   analyze  <payload> [engine=greedy|exact|ilp|portfolio] [budget=<sec>]
+//   analyze  <payload> [engine=greedy|exact|ilp] [budget=<sec>]
 //            [id=<n>] [name=<str>] [jobs=<n>]
 //            register saturation per type (the paper's RS computation)
 //   reduce   <payload> limits=<n>[,<n>...] [engine=...] [exact=0|1]
 //            [verify=0|1] [emit=0|1] [budget=<sec>] [id=<n>] [name=<str>]
 //            [jobs=<n>]
 //            figure-1 RS reduction against per-type register limits
-//   minreg   <payload> [cp=<n>] [engine=exact|portfolio] [emit=0|1]
+//   minreg   <payload> [cp=<n>] [engine=exact] [emit=0|1]
 //            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
 //            the literature's register minimization under a makespan
 //            budget (cp= cycles; unset/0 = the critical path, the paper's
@@ -30,12 +30,12 @@
 //   schedule <payload> [width=<n>] [budget=<sec>] [id=<n>] [name=<str>]
 //            resource-constrained list scheduling plus lifetime metrics
 //            (makespan, per-type maximum register pressure)
-//   globalrs <program-payload> [engine=greedy|exact|ilp|portfolio]
+//   globalrs <program-payload> [engine=greedy|exact|ilp]
 //            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
 //            global register saturation of an acyclic CFG (section 6):
 //            per-block RS on the expanded DAGs + global per-type maxima
 //   globalreduce <program-payload> limits=<n>[,<n>...] [margin=<n>]
-//            [engine=greedy|exact|ilp|portfolio] [exact=0|1] [verify=0|1]
+//            [engine=greedy|exact|ilp] [exact=0|1] [verify=0|1]
 //            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
 //            per-block figure-1 reduction against limits[t]-margin (the
 //            paper's cross-block move margin, default 1)
@@ -69,27 +69,14 @@
 // number; unset `budget` defaults to the engine's 30 s cap
 // (service::kDefaultBudgetSeconds).
 //
-// `engine=portfolio` races the proving strategies (exact branch-and-bound,
-// ILP, greedy; for minreg: the upward ladder vs a binary search) under one
-// deadline — the first *proven* answer wins and the losers are cancelled.
-// `jobs=<n>` caps how many worker threads the request may fan onto (block-
-// parallel program operations and portfolio races); unset means the
-// engine's full pool. Both are pure execution knobs with a hard
-// determinism contract: the result line, payload encoding and cache
-// contents are byte-identical regardless of race timing or thread count.
-// jobs= is therefore *not* part of the request fingerprint; engine= is
-// (different engines may legitimately prove different bounds). Portfolio
-// payloads canonicalize their effort counters (nodes=0, zeroed
-// prunes/simplex/refine) precisely because those vary with the race; the
-// real effort still reaches the live telemetry:
-//   op.<name>.portfolio.races        races run (compute path only)
-//   op.<name>.portfolio.wins.<strat> wins per strategy
-//                                    (exact|ilp|greedy|bisect)
-//   op.<name>.portfolio.cancelled    losing attempts cancelled
-//   op.<name>.parallel_blocks        blocks fanned onto the pool
-// and trace spans gain `winner=` (modal winning strategy) and
-// `blocks_parallel=` when nonzero. Cache hits report none of these — no
-// race ran.
+// `jobs=<n>` caps how many worker threads a program operation may fan its
+// per-block solves onto; unset means the engine's full pool. It is a pure
+// execution knob with a hard determinism contract: the result line,
+// payload encoding and cache contents are byte-identical regardless of
+// thread count, so jobs= is *not* part of the request fingerprint (engine=
+// is: different engines may legitimately prove different bounds). Fan-out
+// shows only in the live telemetry — the op.<name>.parallel_blocks counter
+// and a trace span's `blocks_parallel=` — and never on a cache hit.
 //
 // Result lines (`kind=` echoes the operation name):
 //

@@ -65,11 +65,6 @@ std::string render_trace_json(const TraceSpan& span, double ts) {
   out += "\"";
   std::snprintf(buf, sizeof buf, ",\"nodes\":%lld", span.nodes);
   out += buf;
-  if (span.winner != nullptr && span.winner[0] != '\0') {
-    out += ",\"winner\":\"";
-    out += span.winner;
-    out += "\"";
-  }
   if (span.blocks_parallel > 0) {
     std::snprintf(buf, sizeof buf, ",\"blocks_parallel\":%lld",
                   span.blocks_parallel);
@@ -126,11 +121,6 @@ std::string render_solve_log_json(const SolveLogRecord& rec, double ts) {
   out += "\"";
   std::snprintf(buf, sizeof buf, ",\"nodes\":%lld", rec.nodes);
   out += buf;
-  if (rec.winner != nullptr && rec.winner[0] != '\0') {
-    out += ",\"winner\":\"";
-    out += rec.winner;
-    out += "\"";
-  }
   append_ms(out, "parse_ms", rec.parse_ms);
   append_ms(out, "solve_ms", rec.solve_ms);
   // total_ms is a required key: render even when unmeasured (as 0).

@@ -26,8 +26,7 @@
 // bytes/err appear when measured: a phase a request never entered (e.g.
 // solve_ms on a cache hit) is omitted rather than written as 0, so
 // consumers can tell "skipped" from "fast". tier is mem|disk|none; a
-// coalesced request reports cached=1 tier=none. Conditional solve keys:
-// winner (modal portfolio strategy, engine=portfolio solves only) and
+// coalesced request reports cached=1 tier=none. Conditional solve key:
 // blocks_parallel (blocks fanned onto the pool, program ops only).
 #pragma once
 
@@ -52,10 +51,6 @@ struct TraceSpan {
   const char* tier = "none";    // store_tier_token of the serving tier
   const char* stop = "proven";  // stop_cause_token of the solve
   long long nodes = 0;
-  /// Modal winning strategy when the solve raced a portfolio
-  /// (exact|ilp|greedy|bisect); "" — and omitted from the event — when the
-  /// request raced nothing (fixed engine, cache hit).
-  const char* winner = "";
   /// Blocks fanned onto the pool by a program op; 0 (omitted) otherwise.
   long long blocks_parallel = 0;
   double parse_ms = -1;   // protocol parse (front end)
@@ -99,8 +94,6 @@ struct SolveLogRecord {
   const char* tier = "none";    // store_tier_token of the serving tier
   const char* stop = "proven";  // stop_cause_token of the solve
   long long nodes = 0;
-  /// Modal winning strategy for portfolio solves; "" (omitted) otherwise.
-  const char* winner = "";
   double parse_ms = -1;  // omitted when unmeasured (< 0), like trace phases
   double solve_ms = -1;
   double total_ms = -1;  // always rendered (0 when unmeasured)

@@ -326,16 +326,6 @@ SolverProfile make_solver_profile(MetricsRegistry& registry) {
   p.greedy_trials = &registry.counter("solver.greedy.trials");
   p.reduce_rounds = &registry.counter("solver.reduce.rounds");
   p.reduce_candidates = &registry.counter("solver.reduce.candidates");
-  p.portfolio_attempt_exact_ms =
-      &registry.histogram("solver.portfolio.attempt_exact_ms");
-  p.portfolio_attempt_ilp_ms =
-      &registry.histogram("solver.portfolio.attempt_ilp_ms");
-  p.portfolio_attempt_greedy_ms =
-      &registry.histogram("solver.portfolio.attempt_greedy_ms");
-  p.portfolio_attempt_bisect_ms =
-      &registry.histogram("solver.portfolio.attempt_bisect_ms");
-  p.portfolio_cancel_latency_ms =
-      &registry.histogram("solver.portfolio.cancel_latency_ms");
   return p;
 }
 

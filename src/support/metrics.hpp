@@ -200,12 +200,6 @@ struct SolverProfile {
   // core/reduce.cpp
   Counter* reduce_rounds = nullptr;
   Counter* reduce_candidates = nullptr;
-  // core/portfolio.cpp (per-strategy race duration + loser-cancel latency)
-  Histogram* portfolio_attempt_exact_ms = nullptr;
-  Histogram* portfolio_attempt_ilp_ms = nullptr;
-  Histogram* portfolio_attempt_greedy_ms = nullptr;
-  Histogram* portfolio_attempt_bisect_ms = nullptr;
-  Histogram* portfolio_cancel_latency_ms = nullptr;
 };
 
 /// Resolves the full `solver.*` metric family in `registry` once. The

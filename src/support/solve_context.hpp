@@ -145,18 +145,9 @@ class SolveContext {
   /// sub_budget(remaining / ways). Unlimited parents stay unlimited.
   SolveContext split(int ways) const;
 
-  /// Child context observing `child` instead of this context's token, with
-  /// the same deadline and the same stats sink. The portfolio hook: each
-  /// racing strategy gets a privately cancellable context while effort still
-  /// aggregates at the parent. Parent cancellation does NOT propagate
-  /// automatically — the racer forwards it to the child tokens it holds.
-  SolveContext with_token(CancelToken child) const {
-    return SolveContext(std::move(child), sink_, deadline_, profile_);
-  }
-
   /// Child context carrying the solver-interior instrumentation bundle (see
   /// support/metrics.hpp). Attached once at the service boundary; every
-  /// child context (sub_budget, split, with_token, copies) inherits it.
+  /// child context (sub_budget, split, copies) inherits it.
   /// `profile` may be null (profiling off) and must outlive every solve run
   /// under the returned context.
   SolveContext with_profile(const SolverProfile* profile) const {
@@ -186,8 +177,8 @@ class SolveContext {
   using Clock = std::chrono::steady_clock;
 
   /// Shared effort accumulator: written from every thread a request fans
-  /// onto (portfolio racers, per-block solves), read by observers while
-  /// the solve is still running.
+  /// onto (per-block solves), read by observers while the solve is still
+  /// running.
   struct Sink {
     Mutex mu;
     SolveStats stats RSAT_GUARDED_BY(mu);

@@ -149,14 +149,13 @@ void TaskGroup::run(std::function<void()> task) {
   });
 }
 
-void TaskGroup::wait(const std::function<void()>& poll) {
+void TaskGroup::wait() {
   if (pool_ == nullptr) return;  // everything ran inline
   for (;;) {
     {
       LockGuard lock(mu_);
       if (pending_ == 0) return;
     }
-    if (poll) poll();
     // Prefer doing the group's own (or a sibling's) nested work over
     // sleeping; the 1 ms nap only triggers while all nested tasks are
     // already being executed by other threads.

@@ -6,8 +6,8 @@
 //
 //  * submit() — top-level work (whole service requests). FIFO.
 //  * submit_nested() — work fanned out from *inside* a running task (per-block
-//    solves, portfolio strategies). Workers drain nested tasks before starting
-//    new top-level ones, so in-flight requests finish ahead of queued ones,
+//    solves). Workers drain nested tasks before starting new top-level ones,
+//    so in-flight requests finish ahead of queued ones,
 //    and TaskGroup::wait() lets the submitting thread execute nested tasks
 //    itself (try_run_one) instead of blocking — a pool whose every worker
 //    waits on nested work it could run cannot deadlock.
@@ -106,7 +106,7 @@ class ThreadPool {
 
 /// Scoped fan-out of nested tasks with a participating wait. With a null
 /// pool run() executes inline, so serial and parallel callers share one code
-/// path. wait() loops {poll; try_run_one; brief sleep} instead of blocking,
+/// path. wait() loops {try_run_one; brief sleep} instead of blocking,
 /// which is what makes nested submission deadlock-free: the waiter is itself
 /// a worker for the tasks it is waiting on.
 class TaskGroup {
@@ -121,11 +121,9 @@ class TaskGroup {
   /// Runs `task` on the pool (inline when no pool). Tasks must not throw.
   void run(std::function<void()> task) RSAT_EXCLUDES(mu_);
 
-  /// Blocks until every run() task has finished. `poll`, when given, is
-  /// invoked between attempts to execute queued work — the hook for
-  /// forwarding parent cancellation to child tokens mid-wait. Both the
-  /// poll hook and stolen tasks run with mu_ released.
-  void wait(const std::function<void()>& poll = {}) RSAT_EXCLUDES(mu_);
+  /// Blocks until every run() task has finished. Stolen tasks run with mu_
+  /// released.
+  void wait() RSAT_EXCLUDES(mu_);
 
  private:
   ThreadPool* pool_;

@@ -1,13 +1,18 @@
 // Global RS over acyclic CFGs (section 6): liveness, entry/exit value
-// expansion, per-block saturation, and the move-margin reduction.
+// expansion, per-block saturation, the move-margin reduction, and the
+// jobs= per-block fan-out of the program operations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "cfg/cfg.hpp"
 #include "cfg/generators.hpp"
 #include "cfg/global_rs.hpp"
 #include "core/rs_exact.hpp"
+#include "service/engine.hpp"
+#include "service/protocol.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
 
@@ -294,6 +299,73 @@ TEST(Cfg, StraightLineMatchesPlainDag) {
   // x and y overlap at the multiply: RS(float) >= 2; m short-lived.
   EXPECT_GE(rep.global_rs[kFloatReg], 2);
   EXPECT_LE(rep.global_rs[kFloatReg], 3);
+}
+
+// ---- jobs= fan-out through the service engine. The determinism contract:
+// result lines are byte-identical for any thread count, so jobs= stays out
+// of the fingerprint. Who ran in parallel is visible only through the
+// op.*.parallel_blocks counter.
+
+/// Rendered result line minus the delivery metadata (ms=, cached=).
+std::map<std::string, std::string> stable_fields(
+    const service::Response& resp) {
+  auto f = service::parse_fields(service::render_response(resp));
+  f.erase("ms");
+  f.erase("cached");
+  return f;
+}
+
+service::EngineConfig four_threads() {
+  service::EngineConfig cfg;
+  cfg.threads = 4;
+  return cfg;
+}
+
+const std::string kDiamondLine = "globalrs prog=diamond id=4";
+
+TEST(CfgFanout, JobsIsOutsideTheFingerprint) {
+  service::AnalysisEngine serial(four_threads());
+  service::AnalysisEngine parallel(four_threads());
+  const service::Response r1 =
+      serial.run(service::parse_request_line(kDiamondLine + " jobs=1", 4));
+  const service::Response r4 =
+      parallel.run(service::parse_request_line(kDiamondLine + " jobs=4", 4));
+  EXPECT_EQ(stable_fields(r1), stable_fields(r4));
+  // Cross-jobs cache hit: the second spelling is served the first's bytes.
+  const service::Response hit =
+      parallel.run(service::parse_request_line(kDiamondLine + " jobs=1", 4));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(stable_fields(hit), stable_fields(r4));
+}
+
+TEST(CfgFanout, ParallelBlocksFollowJobs) {
+  service::AnalysisEngine serial(four_threads());
+  service::AnalysisEngine parallel(four_threads());
+  serial.run(service::parse_request_line(kDiamondLine + " jobs=1", 4));
+  parallel.run(service::parse_request_line(kDiamondLine + " jobs=4", 4));
+  // jobs=4 on a 4-block program fans every block onto the pool...
+  EXPECT_EQ(
+      parallel.metrics().counter("op.globalrs.parallel_blocks").value(), 4u);
+  // ...while jobs=1 stays sequential.
+  EXPECT_EQ(serial.metrics().counter("op.globalrs.parallel_blocks").value(),
+            0u);
+}
+
+TEST(CfgFanout, ColdParallelIterationsByteIdentical) {
+  // Many independent cold engines, each fanning blocks onto real threads,
+  // must render byte-identical result lines.
+  const std::string line = kDiamondLine + " jobs=4";
+  std::map<std::string, std::string> want;
+  {
+    service::AnalysisEngine first(four_threads());
+    want = stable_fields(first.run(service::parse_request_line(line, 4)));
+  }
+  for (int iter = 0; iter < 50; ++iter) {
+    service::AnalysisEngine engine(four_threads());
+    EXPECT_EQ(stable_fields(engine.run(service::parse_request_line(line, 4))),
+              want)
+        << "iter " << iter;
+  }
 }
 
 }  // namespace

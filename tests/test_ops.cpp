@@ -208,6 +208,33 @@ TEST(OperationContract, RenumberedIsomorphicInputHitsCacheForEveryOperation) {
   }
 }
 
+TEST(OperationContract, PortfolioEngineIsAnAliasOfExact) {
+  // engine=portfolio is accepted for compatibility and must be the exact
+  // engine under another spelling: same result fields (real nodes=
+  // included) and the same cache key, so the second request is a hit.
+  int covered = 0;
+  for (const Operation* op : service::operations()) {
+    if (!op->accepts_option("engine")) continue;
+    ++covered;
+    AnalysisEngine engine{EngineConfig{}};
+    const std::string line = test::request_line(*op);
+    const Response exact =
+        engine.run(service::parse_request_line(line + " engine=exact id=1", 1));
+    ASSERT_TRUE(exact.payload->ok) << line << ": " << exact.payload->error;
+    const Response alias = engine.run(
+        service::parse_request_line(line + " engine=portfolio id=2", 2));
+    EXPECT_TRUE(alias.cache_hit) << line;
+    auto a = service::parse_fields(service::render_response(exact));
+    auto b = service::parse_fields(service::render_response(alias));
+    for (auto* f : {&a, &b}) {
+      f->erase("id"), f->erase("ms"), f->erase("cached");
+    }
+    EXPECT_EQ(a, b) << line;
+  }
+  // analyze, reduce, minreg, globalrs, globalreduce.
+  EXPECT_EQ(covered, 5);
+}
+
 // ---------------------------------------------------------------------------
 // program payloads
 

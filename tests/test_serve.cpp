@@ -167,8 +167,12 @@ TEST(Serve, TraceFileCapturesOneEventPerRequest) {
     ServerFixture server(cfg);
     ASSERT_NE(server->trace_sink(), nullptr);
     LineClient client(server->port());
-    client.send("analyze kernel=lin-ddot\nanalyze kernel=lin-ddot\ndrain\n");
+    // The duplicate goes out only after the first result line arrived:
+    // pipelined, it could coalesce onto the in-flight solve (cached=1
+    // tier=none) instead of hitting the memory tier.
+    client.send("analyze kernel=lin-ddot\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "0");
+    client.send("analyze kernel=lin-ddot\ndrain\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
     EXPECT_EQ(client.next_line(), "drained");
     EXPECT_EQ(server->trace_sink()->written(), 2u);
@@ -280,8 +284,11 @@ TEST(Serve, SloObjectivesCountBreachesAndExtendStats) {
   ServerFixture server(cfg);
   LineClient client(server->port());
 
-  client.send("analyze kernel=lin-ddot\nanalyze kernel=lin-ddot\nstats\n");
+  // Sequential, not pipelined: a pipelined duplicate may become the
+  // single-flight owner and leave the first line as the coalesced hit.
+  client.send("analyze kernel=lin-ddot\n");
   EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "0");
+  client.send("analyze kernel=lin-ddot\nstats\n");
   EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
   const auto cold = service::parse_fields(client.next_line());
   EXPECT_EQ(cold.at("slo_ms"), "0.000");  // %.3f of 1e-6
@@ -310,8 +317,12 @@ TEST(Serve, SolveLogFileCapturesOneRecordPerRequest) {
     ServerFixture server(cfg);
     ASSERT_NE(server->solve_log_sink(), nullptr);
     LineClient client(server->port());
-    client.send("analyze kernel=lin-ddot\nanalyze kernel=lin-ddot\ndrain\n");
+    // The duplicate goes out only after the first result line arrived:
+    // pipelined, it could coalesce onto the in-flight solve (cached=1
+    // tier=none) instead of hitting the memory tier.
+    client.send("analyze kernel=lin-ddot\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "0");
+    client.send("analyze kernel=lin-ddot\ndrain\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
     EXPECT_EQ(client.next_line(), "drained");
     EXPECT_EQ(server->solve_log_sink()->written(), 2u);

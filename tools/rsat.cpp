@@ -55,8 +55,8 @@
 //                     cache tier / stop cause / node count) to F
 //   --solve-log F     one JSONL solve-log record per request to F: cheap
 //                     canonical input features (ops, arcs, critical path,
-//                     width, type mix) plus the outcome (engine/winner,
-//                     stop cause, nodes, per-phase ms, cache tier) — the
+//                     width, type mix) plus the outcome (stop cause,
+//                     nodes, per-phase ms, cache tier) — the
 //                     training corpus for adaptive strategy prediction
 //   --metrics-json F  full metrics-registry snapshot (counters, gauges,
 //                     histogram quantiles) written to F at exit
