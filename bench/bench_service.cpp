@@ -13,10 +13,9 @@
 //    BENCH_service.json: cold/warm/disk/global-RS p50s, hit ratios, the
 //    telemetry-overhead measurement, and the jobs=1 vs jobs=4
 //    block-parallel globalrs pair). In this mode the process exits nonzero
-//    if tracing a cold solve costs more than kTelemetryOverheadBarPct
-//    ("telemetry stays off the hot path") or if solve-log record collection
-//    regresses the untraced cold path by more than the same bar ("the
-//    training corpus is free").
+//    if tracing a cold solve (spans, input features, sink writes) costs
+//    more than kTelemetryOverheadBarPct ("telemetry stays off the hot
+//    path").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,9 +24,11 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cfg/generators.hpp"
@@ -290,29 +291,29 @@ BENCHMARK(BM_ProtocolParseRender)->Unit(benchmark::kMicrosecond);
 /// Instrumented-vs-uninstrumented cold-solve regression bar (percent).
 constexpr double kTelemetryOverheadBarPct = 5.0;
 
-double p50_of(std::vector<double> samples) {
+/// Nearest-rank quantile (q in [0, 1]); 0 for no samples.
+double quantile_of(std::vector<double> samples, double q) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return samples[static_cast<std::size_t>(
+      q * static_cast<double>(samples.size() - 1) + 0.5)];
+}
+
+double p50_of(std::vector<double> samples) {
+  return quantile_of(std::move(samples), 0.5);
 }
 
 /// Drives `batch` synchronously through `engine` (no pool noise), appending
 /// one wall-clock latency sample per request. When `sink` is non-null the
 /// engine runs with trace spans on and every span is written — the fully
-/// instrumented path the overhead bar compares against. `slog_sink` is the
-/// solve-log analogue: every record rendered and written.
+/// instrumented path the overhead bar compares against.
 void run_batch_timed(AnalysisEngine& engine, const std::vector<Request>& batch,
-                     std::vector<double>* ms, rs::service::TraceSink* sink,
-                     rs::service::TraceSink* slog_sink = nullptr) {
+                     std::vector<double>* ms, rs::service::TraceSink* sink) {
   for (const Request& req : batch) {
     const rs::support::Timer t;
     const Response resp = engine.run(req);
     benchmark::DoNotOptimize(resp.payload->ok);
     if (sink != nullptr && resp.trace != nullptr) sink->write(*resp.trace);
-    if (slog_sink != nullptr && resp.solve_log != nullptr) {
-      slog_sink->write_line(rs::service::render_solve_log_json(
-          *resp.solve_log, rs::support::unix_now_seconds()));
-    }
     if (ms != nullptr) ms->push_back(t.millis());
   }
 }
@@ -393,78 +394,47 @@ int run_curated_json(const std::string& out_path) {
 
   // Telemetry overhead: identical cold workloads, one with trace spans off
   // (registry counters and the solver-interior profile still on — they are
-  // unconditional), one with spans on and every span rendered + written to
-  // a real sink. Rounds alternate so drift hits both arms equally; one
-  // sample per round = the whole batch's wall time (per-request samples
-  // over the mixed-size corpus are bimodal: their median sits on the mode
-  // boundary, so a gate on it is a coin flip at small sample counts).
+  // unconditional), one with spans on, input features computed, and every
+  // span rendered + written to a real sink. One sample per arm and round =
+  // the whole batch's wall time (per-request samples over the mixed-size
+  // corpus are bimodal: their median sits on the mode boundary). The two
+  // arms of a round run back to back, alternating which goes first, and
+  // the gate is the median of the per-round traced/plain ratios: drift
+  // between rounds cancels inside each pair, where a ratio of the two
+  // arms' medians would compare samples from different moments.
   constexpr int kOverheadRounds = 25;
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "rs_bench_trace.jsonl")
           .string();
-  std::vector<double> plain_ms, traced_ms;
-  for (int r = -1; r < kOverheadRounds; ++r) {
-    {
-      AnalysisEngine engine(EngineConfig{});
-      const rs::support::Timer t;
-      run_batch_timed(engine, corpus, nullptr, nullptr);
-      if (r >= 0) plain_ms.push_back(t.millis());
-    }
-    {
-      EngineConfig cfg;
-      cfg.trace = true;
-      AnalysisEngine engine(cfg);
-      rs::service::TraceSink::Config tc;
-      tc.path = trace_path;
-      rs::service::TraceSink sink(tc);
-      const rs::support::Timer t;
-      run_batch_timed(engine, corpus, nullptr, &sink);
-      if (r >= 0) traced_ms.push_back(t.millis());
-    }
+  const auto cold_batch_ms = [&](bool traced) {
+    EngineConfig cfg;
+    cfg.trace = traced;
+    AnalysisEngine engine(cfg);
+    std::unique_ptr<rs::service::TraceSink> sink;
+    if (traced) sink = std::make_unique<rs::service::TraceSink>(trace_path);
+    const rs::support::Timer t;
+    run_batch_timed(engine, corpus, nullptr, sink.get());
+    return t.millis();
+  };
+  std::vector<double> plain_ms, traced_ms, ratios;
+  for (int r = -1; r < kOverheadRounds; ++r) {  // round -1 warms up
+    const bool traced_first = r % 2 == 0;
+    const double first = cold_batch_ms(traced_first);
+    const double second = cold_batch_ms(!traced_first);
+    if (r < 0) continue;
+    const double plain = traced_first ? second : first;
+    const double traced = traced_first ? first : second;
+    plain_ms.push_back(plain);
+    traced_ms.push_back(traced);
+    ratios.push_back(plain > 0 ? traced / plain : 1.0);
   }
   std::filesystem::remove(trace_path);
   const double plain_p50 = p50_of(plain_ms);
   const double traced_p50 = p50_of(traced_ms);
-  const double overhead_pct =
-      plain_p50 > 0 ? 100.0 * (traced_p50 - plain_p50) / plain_p50 : 0;
+  const double overhead_pct = 100.0 * (p50_of(ratios) - 1.0);
+  const double overhead_iqr_pct =
+      100.0 * (quantile_of(ratios, 0.75) - quantile_of(ratios, 0.25));
   const bool within_bar = overhead_pct < kTelemetryOverheadBarPct;
-
-  // Solve-log overhead: the same alternating whole-batch design, logging
-  // off vs on (feature extraction + record render + write to a real sink).
-  // The log is the training corpus for adaptive strategy prediction; it
-  // only stays in production deployments if it is free on the untraced
-  // path.
-  constexpr int kSolveLogRounds = kOverheadRounds;
-  const std::string slog_path =
-      (std::filesystem::temp_directory_path() / "rs_bench_slog.jsonl")
-          .string();
-  std::vector<double> slog_off_ms, slog_on_ms;
-  for (int r = -1; r < kSolveLogRounds; ++r) {
-    {
-      AnalysisEngine engine(EngineConfig{});
-      const rs::support::Timer t;
-      run_batch_timed(engine, corpus, nullptr, nullptr);
-      if (r >= 0) slog_off_ms.push_back(t.millis());
-    }
-    {
-      EngineConfig cfg;
-      cfg.solve_log = true;
-      AnalysisEngine engine(cfg);
-      rs::service::TraceSink::Config sc;
-      sc.path = slog_path;
-      rs::service::TraceSink sink(sc);
-      const rs::support::Timer t;
-      run_batch_timed(engine, corpus, nullptr, nullptr, &sink);
-      if (r >= 0) slog_on_ms.push_back(t.millis());
-    }
-  }
-  std::filesystem::remove(slog_path);
-  const double slog_off_p50 = p50_of(slog_off_ms);
-  const double slog_on_p50 = p50_of(slog_on_ms);
-  const double slog_overhead_pct =
-      slog_off_p50 > 0 ? 100.0 * (slog_on_p50 - slog_off_p50) / slog_off_p50
-                       : 0;
-  const bool slog_within_bar = slog_overhead_pct < kTelemetryOverheadBarPct;
 
   // Intra-request block parallelism: the same cold globalrs solve of a
   // 4-block program at jobs=1 vs jobs=4 on a 4-worker engine. On hosts
@@ -529,18 +499,11 @@ int run_curated_json(const std::string& out_path) {
      << "    \"plain_cold_batch_p50_ms\": " << f(plain_p50) << ",\n"
      << "    \"traced_cold_batch_p50_ms\": " << f(traced_p50) << ",\n"
      << "    \"overhead_pct\": " << f(overhead_pct) << ",\n"
+     << "    \"overhead_iqr_pct\": " << f(overhead_iqr_pct) << ",\n"
      << "    \"bar_pct\": " << f(kTelemetryOverheadBarPct) << ",\n"
      << "    \"within_bar\": " << (within_bar ? "true" : "false") << ",\n"
      << "    \"counter_inc_ns\": " << f(counter_ns) << ",\n"
      << "    \"histogram_observe_ns\": " << f(histogram_ns) << "\n"
-     << "  },\n"
-     << "  \"solve_log\": {\n"
-     << "    \"rounds\": " << kSolveLogRounds << ",\n"
-     << "    \"off_cold_batch_p50_ms\": " << f(slog_off_p50) << ",\n"
-     << "    \"on_cold_batch_p50_ms\": " << f(slog_on_p50) << ",\n"
-     << "    \"overhead_pct\": " << f(slog_overhead_pct) << ",\n"
-     << "    \"bar_pct\": " << f(kTelemetryOverheadBarPct) << ",\n"
-     << "    \"within_bar\": " << (slog_within_bar ? "true" : "false") << "\n"
      << "  }\n"
      << "}\n";
   if (!rs::support::write_file_atomic(out_path, os.str())) {
@@ -550,16 +513,11 @@ int run_curated_json(const std::string& out_path) {
   std::fprintf(stderr, "bench_service: wrote %s\n", out_path.c_str());
   std::fprintf(stderr,
                "telemetry overhead: cold batch p50 %.4f ms plain vs %.4f ms "
-               "traced "
-               "(%+.2f%%, bar %.1f%%) -> %s\n",
-               plain_p50, traced_p50, overhead_pct, kTelemetryOverheadBarPct,
-               within_bar ? "OK" : "FAIL");
-  std::fprintf(stderr,
-               "solve log overhead: cold batch p50 %.4f ms off vs %.4f ms on "
-               "(%+.2f%%, bar %.1f%%) -> %s\n",
-               slog_off_p50, slog_on_p50, slog_overhead_pct,
-               kTelemetryOverheadBarPct, slog_within_bar ? "OK" : "FAIL");
-  return within_bar && slog_within_bar ? 0 : 1;
+               "traced; median paired ratio %+.2f%% (IQR %.2f%%, bar %.1f%%) "
+               "-> %s\n",
+               plain_p50, traced_p50, overhead_pct, overhead_iqr_pct,
+               kTelemetryOverheadBarPct, within_bar ? "OK" : "FAIL");
+  return within_bar ? 0 : 1;
 }
 
 }  // namespace

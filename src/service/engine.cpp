@@ -16,8 +16,8 @@ namespace {
 
 /// Critical path (latency-weighted, as graph::critical_path) and peak
 /// level width (most operations sharing one unit-depth level) in a single
-/// topological sweep — this runs per request on the solve-log path, so the
-/// graph is walked once, not once per feature.
+/// topological sweep — this runs per traced request, so the graph is
+/// walked once, not once per feature.
 void shape_features(const graph::Digraph& g, long long* cp, long long* width) {
   *cp = 0;
   *width = 0;
@@ -47,22 +47,22 @@ void shape_features(const graph::Digraph& g, long long* cp, long long* width) {
 
 /// DDG operations report the normalized DAG: op/arc counts, critical path,
 /// peak level width, and per-type value counts.
-void fill_ddg_features(const ddg::Ddg& normalized, SolveLogRecord* rec) {
-  rec->ddg_ops = normalized.op_count();
-  rec->ddg_arcs = normalized.graph().edge_count();
-  shape_features(normalized.graph(), &rec->ddg_cp, &rec->ddg_width);
+void fill_ddg_features(const ddg::Ddg& normalized, TraceSpan* span) {
+  span->ddg_ops = normalized.op_count();
+  span->ddg_arcs = normalized.graph().edge_count();
+  shape_features(normalized.graph(), &span->ddg_cp, &span->ddg_width);
   std::string types;
   for (int t = 0; t < normalized.type_count(); ++t) {
     if (t > 0) types += ',';
     types += std::to_string(normalized.values_of_type(t).size());
   }
-  rec->ddg_types = std::move(types);
+  span->ddg_types = std::move(types);
 }
 
 /// Program operations report block-level aggregates: statement/operand
 /// counts, width = block count, cp = 0 (not computed across blocks), and
 /// per-type result counts.
-void fill_program_features(const cfg::Cfg& program, SolveLogRecord* rec) {
+void fill_program_features(const cfg::Cfg& program, TraceSpan* span) {
   long long statements = 0;
   long long operand_refs = 0;
   std::vector<long long> per_type(
@@ -74,16 +74,16 @@ void fill_program_features(const cfg::Cfg& program, SolveLogRecord* rec) {
       if (!s.result.empty()) ++per_type[static_cast<std::size_t>(s.type)];
     }
   }
-  rec->ddg_ops = statements;
-  rec->ddg_arcs = operand_refs;
-  rec->ddg_cp = 0;
-  rec->ddg_width = program.block_count();
+  span->ddg_ops = statements;
+  span->ddg_arcs = operand_refs;
+  span->ddg_cp = 0;
+  span->ddg_width = program.block_count();
   std::string types;
   for (std::size_t t = 0; t < per_type.size(); ++t) {
     if (t > 0) types += ',';
     types += std::to_string(per_type[t]);
   }
-  rec->ddg_types = std::move(types);
+  span->ddg_types = std::move(types);
 }
 
 }  // namespace
@@ -222,8 +222,9 @@ Response AnalysisEngine::process(Request req, support::Timer started,
                   : req.name;
   resp.include_ddg = req.want_ddg;
 
-  // Span collection is opt-in (EngineConfig::trace): one allocation and a
-  // handful of Timer reads per request when on, nothing when off.
+  // Span collection is opt-in (EngineConfig::trace): one allocation, a
+  // handful of Timer reads and one feature walk of the input per request
+  // when on, nothing when off.
   std::shared_ptr<TraceSpan> span;
   if (cfg_.trace) {
     span = std::make_shared<TraceSpan>();
@@ -235,16 +236,10 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     span->queue_ms = started.millis();
   }
 
-  // Solve-log collection is opt-in (EngineConfig::solve_log), independent
-  // of tracing: one allocation plus a single walk of the normalized input
-  // per request when on.
-  std::shared_ptr<SolveLogRecord> slog;
-
   SharedPayload payload;
   bool owner = false;
   bool counted_hit = false;   // mirrors the hit/coalesce counters (per-op)
   bool counted_miss = false;  // mirrors misses_ for the per-op slice
-  double solve_ms = -1;       // owner solves only (< 0 = no solve ran)
   std::promise<SharedPayload> own_promise;
   std::shared_future<SharedPayload> flight;
   CacheKey key;
@@ -266,17 +261,13 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     key = request_key(req, resp.fingerprint);
     if (span != nullptr) {
       span->fp_ms = phase.millis();
+      // The feature block renders exactly when fp does, so both are set
+      // together, before the store probe (cache hits carry them too).
       span->fp = resp.fingerprint.hex();
-    }
-    if (cfg_.solve_log) {
-      slog = std::make_shared<SolveLogRecord>();
-      slog->id = req.id;
-      slog->op = req.op->name();
-      slog->fp = resp.fingerprint.hex();
       if (req.program != nullptr) {
-        fill_program_features(*req.program, slog.get());
+        fill_program_features(*req.program, span.get());
       } else {
-        fill_ddg_features(normalized, slog.get());
+        fill_ddg_features(normalized, span.get());
       }
     }
 
@@ -356,8 +347,7 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     if (owner) {
       phase.reset();
       payload = compute(req, normalized, token);
-      solve_ms = phase.millis();
-      if (span != nullptr) span->solve_ms = solve_ms;
+      if (span != nullptr) span->solve_ms = phase.millis();
       // Cancelled results are never stored: a cancel is an explicit "this
       // answer is unwanted", so the next identical request must recompute.
       // Timed-out results ARE cached in memory: the budget is part of the
@@ -436,17 +426,6 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     span->blocks_parallel = resp.payload->blocks_parallel;
     span->total_ms = resp.millis;
     resp.trace = std::move(span);
-  }
-  if (slog != nullptr) {
-    slog->ok = resp.payload->ok;
-    slog->cached = resp.cache_hit;
-    slog->tier = store_tier_token(resp.tier);
-    slog->stop = support::stop_cause_token(resp.payload->stats.stop);
-    slog->nodes = resp.payload->stats.nodes;
-    slog->parse_ms = req.parse_ms;
-    slog->solve_ms = solve_ms;
-    slog->total_ms = resp.millis;
-    resp.solve_log = std::move(slog);
   }
   return resp;
 }

@@ -63,8 +63,7 @@ class Cfg;
 
 namespace rs::service {
 
-struct TraceSpan;       // service/trace.hpp
-struct SolveLogRecord;  // service/trace.hpp
+struct TraceSpan;  // service/trace.hpp
 
 struct Request {
   std::uint64_t id = 0;
@@ -159,10 +158,6 @@ struct Response {
   /// delivering the response fills encode_ms/bytes and hands the span to
   /// the TraceSink.
   std::shared_ptr<TraceSpan> trace;
-  /// Solve-log record (EngineConfig::solve_log only): canonical input
-  /// features plus the solve outcome. The front end delivering the
-  /// response renders it (render_solve_log_json) into the --solve-log sink.
-  std::shared_ptr<SolveLogRecord> solve_log;
 };
 
 struct EngineConfig {
@@ -173,15 +168,10 @@ struct EngineConfig {
   /// absent). Cancelled and timed-out payloads are never persisted.
   std::string cache_dir;
   /// Collect a per-request TraceSpan on every Response (service/trace.hpp).
-  /// Off by default: spans cost an allocation + a handful of clock reads
-  /// per request, which only pays off when a --trace-file sink consumes
-  /// them.
+  /// Off by default: a span costs an allocation, a handful of clock reads
+  /// and one walk of the normalized input (its shape features) per
+  /// request, which only pays off when a --trace-file sink consumes it.
   bool trace = false;
-  /// Collect a per-request SolveLogRecord on every Response — cheap
-  /// canonical input features plus the outcome, the training rows for
-  /// adaptive strategy prediction. Off by default: the feature pass walks
-  /// the normalized graph once per request (--solve-log enables it).
-  bool solve_log = false;
 };
 
 /// Wall-clock cap applied to requests that carry no budget_seconds.

@@ -61,12 +61,10 @@ struct SocketServer::Conn {
 
 namespace {
 
-/// Trace spans and solve-log records are engine-produced; a configured
-/// trace_file / solve_log_file turns the matching collection on.
-EngineConfig with_collection_enabled(EngineConfig engine, bool trace,
-                                     bool solve_log) {
+/// Trace spans are engine-produced; a configured trace_file turns their
+/// collection on.
+EngineConfig with_trace_enabled(EngineConfig engine, bool trace) {
   if (trace) engine.trace = true;
-  if (solve_log) engine.solve_log = true;
   return engine;
 }
 
@@ -74,8 +72,7 @@ EngineConfig with_collection_enabled(EngineConfig engine, bool trace,
 
 SocketServer::SocketServer(const ServeConfig& cfg)
     : cfg_(cfg),
-      engine_(with_collection_enabled(cfg.engine, !cfg.trace_file.empty(),
-                                      !cfg.solve_log_file.empty())),
+      engine_(with_trace_enabled(cfg.engine, !cfg.trace_file.empty())),
       listener_(cfg.host, cfg.port),
       connections_(engine_.metrics().counter("serve.connections")),
       open_conns_(engine_.metrics().gauge("serve.open_conns")),
@@ -89,9 +86,6 @@ SocketServer::SocketServer(const ServeConfig& cfg)
       slow_requests_(engine_.metrics().counter("serve.slow_requests")) {
   if (!cfg_.trace_file.empty()) {
     trace_sink_ = std::make_unique<TraceSink>(cfg_.trace_file);
-  }
-  if (!cfg_.solve_log_file.empty()) {
-    solve_log_sink_ = std::make_unique<TraceSink>(cfg_.solve_log_file);
   }
   if (!cfg_.port_file.empty()) {
     RS_REQUIRE(support::write_file_atomic(cfg_.port_file,
@@ -292,10 +286,6 @@ void SocketServer::pump_ready(Conn& c) {
         resp.trace->bytes = line.size() + 1;
         trace_sink_->write(*resp.trace);
       }
-      if (resp.solve_log != nullptr && solve_log_sink_ != nullptr) {
-        solve_log_sink_->write_line(render_solve_log_json(
-            *resp.solve_log, support::unix_now_seconds()));
-      }
       if (cfg_.slo_ms > 0) record_slo(resp);
     } else {
       c.out_buf += s.pre;
@@ -461,7 +451,6 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
   // finish their cancelled epilogues before the engine is reused/queried.
   engine_.wait_idle();
   if (trace_sink_ != nullptr) trace_sink_->flush();
-  if (solve_log_sink_ != nullptr) solve_log_sink_->flush();
 #else
   static_cast<void>(should_stop);
   RS_REQUIRE(false, "rsat serve requires POSIX sockets");

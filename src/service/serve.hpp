@@ -66,9 +66,6 @@ struct ServeConfig {
   /// When non-empty, enables engine trace spans and streams one JSONL
   /// event per request to this file (service/trace.hpp).
   std::string trace_file;
-  /// When non-empty, enables engine solve-log records and streams one JSONL
-  /// record per request to this file (SolveLogRecord, service/trace.hpp).
-  std::string solve_log_file;
   /// > 0 logs every request slower than this (wall-clock submit->respond)
   /// to stderr and counts it as serve.slow_requests.
   double slow_ms = 0;
@@ -131,9 +128,6 @@ class SocketServer {
   /// Non-null when ServeConfig::trace_file is set.
   const TraceSink* trace_sink() const { return trace_sink_.get(); }
 
-  /// Non-null when ServeConfig::solve_log_file is set.
-  const TraceSink* solve_log_sink() const { return solve_log_sink_.get(); }
-
  private:
   struct Conn;
 
@@ -163,7 +157,6 @@ class SocketServer {
   AnalysisEngine engine_;
   support::ListenSocket listener_;
   std::unique_ptr<TraceSink> trace_sink_;
-  std::unique_ptr<TraceSink> solve_log_sink_;
   std::atomic<bool> stop_{false};
   std::uint64_t next_id_ = 1;
   /// Loop iterations left to skip polling the listener after an accept

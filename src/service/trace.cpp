@@ -43,8 +43,8 @@ void append_ms(std::string& out, const char* key, double v) {
 
 std::string render_trace_json(const TraceSpan& span, double ts) {
   std::string out;
-  out.reserve(256);
-  char buf[96];
+  out.reserve(320);
+  char buf[160];
   std::snprintf(buf, sizeof buf, "{\"ev\":\"request\",\"ts\":%.6f,\"id\":%" PRIu64,
                 ts, span.id);
   out += buf;
@@ -70,6 +70,15 @@ std::string render_trace_json(const TraceSpan& span, double ts) {
                   span.blocks_parallel);
     out += buf;
   }
+  if (!span.fp.empty()) {
+    std::snprintf(buf, sizeof buf,
+                  ",\"ddg_ops\":%lld,\"ddg_arcs\":%lld,\"ddg_cp\":%lld"
+                  ",\"ddg_width\":%lld",
+                  span.ddg_ops, span.ddg_arcs, span.ddg_cp, span.ddg_width);
+    out += buf;
+    out += ",\"ddg_types\":";
+    append_escaped(out, span.ddg_types);
+  }
   append_ms(out, "parse_ms", span.parse_ms);
   append_ms(out, "queue_ms", span.queue_ms);
   append_ms(out, "fp_ms", span.fp_ms);
@@ -88,45 +97,6 @@ std::string render_trace_json(const TraceSpan& span, double ts) {
     out += ",\"err\":";
     append_escaped(out, span.error);
   }
-  out += '}';
-  return out;
-}
-
-std::string render_solve_log_json(const SolveLogRecord& rec, double ts) {
-  std::string out;
-  out.reserve(256);
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "{\"ev\":\"solve\",\"v\":1,\"ts\":%.6f,\"id\":%" PRIu64,
-                ts, rec.id);
-  out += buf;
-  out += ",\"op\":";
-  append_escaped(out, rec.op);
-  out += ",\"fp\":";
-  append_escaped(out, rec.fp);
-  std::snprintf(buf, sizeof buf,
-                ",\"ddg_ops\":%lld,\"ddg_arcs\":%lld,\"ddg_cp\":%lld"
-                ",\"ddg_width\":%lld",
-                rec.ddg_ops, rec.ddg_arcs, rec.ddg_cp, rec.ddg_width);
-  out += buf;
-  out += ",\"ddg_types\":";
-  append_escaped(out, rec.ddg_types);
-  out += ",\"ok\":";
-  out += rec.ok ? "true" : "false";
-  out += ",\"cached\":";
-  out += rec.cached ? "true" : "false";
-  out += ",\"tier\":\"";
-  out += rec.tier;
-  out += "\",\"stop\":\"";
-  out += rec.stop;
-  out += "\"";
-  std::snprintf(buf, sizeof buf, ",\"nodes\":%lld", rec.nodes);
-  out += buf;
-  append_ms(out, "parse_ms", rec.parse_ms);
-  append_ms(out, "solve_ms", rec.solve_ms);
-  // total_ms is a required key: render even when unmeasured (as 0).
-  std::snprintf(buf, sizeof buf, ",\"total_ms\":%.3f",
-                rec.total_ms < 0 ? 0.0 : rec.total_ms);
-  out += buf;
   out += '}';
   return out;
 }

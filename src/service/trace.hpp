@@ -27,7 +27,9 @@
 // solve_ms on a cache hit) is omitted rather than written as 0, so
 // consumers can tell "skipped" from "fast". tier is mem|disk|none; a
 // coalesced request reports cached=1 tier=none. Conditional solve key:
-// blocks_parallel (blocks fanned onto the pool, program ops only).
+// blocks_parallel (blocks fanned onto the pool, program ops only). Input
+// feature block (ddg_ops ddg_arcs ddg_cp ddg_width ddg_types): present
+// exactly when fp is, right after nodes/blocks_parallel.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,16 @@ struct TraceSpan {
   long long nodes = 0;
   /// Blocks fanned onto the pool by a program op; 0 (omitted) otherwise.
   long long blocks_parallel = 0;
+  // Input shape features, rendered whenever fp is non-empty. DDG ops
+  // report the normalized DAG (op/arc counts, latency-weighted critical
+  // path, peak unit-depth level width, per-type value counts); program ops
+  // report block-level aggregates (statements, operand references,
+  // cp = 0, width = block count, per-type result counts).
+  long long ddg_ops = 0;
+  long long ddg_arcs = 0;
+  long long ddg_cp = 0;
+  long long ddg_width = 0;
+  std::string ddg_types;  // per-type counts joined by commas, type order
   double parse_ms = -1;   // protocol parse (front end)
   double queue_ms = -1;   // submit -> worker pickup
   double fp_ms = -1;      // normalize + fingerprint
@@ -67,41 +79,6 @@ struct TraceSpan {
 /// Renders the span as one JSON object (no trailing newline). `ts` is the
 /// event timestamp in fractional Unix seconds (the sink stamps write time).
 std::string render_trace_json(const TraceSpan& span, double ts);
-
-/// One request's solve-log record (--solve-log): cheap canonical input
-/// features plus the solve outcome — the training corpus for the ROADMAP's
-/// adaptive strategy prediction. Schema-versioned ("v":1) and
-/// byte-stable-keyed like trace events; exactly one JSONL record is emitted
-/// per completed request by the front end that delivered it.
-///
-/// Feature semantics by payload kind: DDG operations report the normalized
-/// DAG (op/arc counts, critical path, peak unit-depth level width, per-type
-/// value counts); program operations report block-level aggregates
-/// (statement/operand counts, width = block count, cp = 0 — not computed).
-struct SolveLogRecord {
-  std::uint64_t id = 0;
-  std::string op;   // operation name; "" when it never resolved
-  std::string fp;   // hex fingerprint of the canonical input
-  // Input features (the ddg_* keys of the record).
-  long long ddg_ops = 0;    // operations (or program statements)
-  long long ddg_arcs = 0;   // arcs (or program operand references)
-  long long ddg_cp = 0;     // critical path of the normalized DAG
-  long long ddg_width = 0;  // peak ops per unit-depth level (or block count)
-  std::string ddg_types;    // per-type value counts, comma-joined by type
-  // Outcome.
-  bool ok = true;
-  bool cached = false;
-  const char* tier = "none";    // store_tier_token of the serving tier
-  const char* stop = "proven";  // stop_cause_token of the solve
-  long long nodes = 0;
-  double parse_ms = -1;  // omitted when unmeasured (< 0), like trace phases
-  double solve_ms = -1;
-  double total_ms = -1;  // always rendered (0 when unmeasured)
-};
-
-/// Renders the record as one JSON object (no trailing newline); `ts` as in
-/// render_trace_json. Key order is fixed and byte-stable.
-std::string render_solve_log_json(const SolveLogRecord& rec, double ts);
 
 /// Bounded, lock-light JSONL writer (see header comment).
 class TraceSink {
@@ -130,13 +107,6 @@ class TraceSink {
   /// the short buffer append only), so no caller may already hold it.
   void write(const TraceSpan& span) RSAT_EXCLUDES(mu_);
 
-  /// Enqueues one pre-rendered JSONL line (no trailing newline — the sink
-  /// appends it). The write() path renders a TraceSpan and lands here; the
-  /// solve-log path (--solve-log) renders a SolveLogRecord and shares the
-  /// same bounded buffer/flush/drop machinery through a second sink
-  /// instance. Same locking contract as write().
-  void write_line(std::string line) RSAT_EXCLUDES(mu_);
-
   /// Drains the buffer to the file and flushes the stream.
   void flush() RSAT_EXCLUDES(mu_);
 
@@ -145,6 +115,9 @@ class TraceSink {
   const std::string& path() const { return cfg_.path; }
 
  private:
+  /// Enqueues one rendered JSONL line (the sink appends the newline).
+  void write_line(std::string line) RSAT_EXCLUDES(mu_);
+
   Config cfg_;
   /// Deliberately NOT guarded by mu_: the flusher-election protocol
   /// (flushing_ flag) guarantees at most one thread touches out_ at a

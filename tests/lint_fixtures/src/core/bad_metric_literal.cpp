@@ -8,7 +8,7 @@ const char* kStrayOpMetric = "op.analyze.submitted";     // expect: metric-liter
 const char* kStrayTraceKey = "solve_ms";                 // expect: metric-literal
 const char* kStraySolverMetric = "solver.bb.nodes";      // expect: metric-literal
 const char* kStraySloMetric = "slo.analyze.breach";      // expect: metric-literal
-const char* kStraySolveLogKey = "ddg_width";             // expect: metric-literal
+const char* kStrayFeatureKey = "ddg_width";              // expect: metric-literal
 
 // Must NOT fire: non-metric dotted strings, file names, prose.
 const char* kFileName = "store.cpp";

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Golden byte-identity of the one-shot CLI path vs `rsat batch`: for the
-# new operations (minreg, spill, schedule), `rsat <op> ...` must emit the
-# *same protocol result line* as a batch run fed the equivalent request
-# line, modulo the delivery fields cached= and ms= — they share the
-# protocol parser and renderer, and this test keeps it that way.
+# Golden byte-identity of the one-shot CLI path vs `rsat batch`: for every
+# operation, `rsat <op> ...` must emit the *same protocol result line* as a
+# batch run fed the equivalent request line, modulo the delivery fields
+# cached= and ms= — they share the protocol parser and renderer, and this
+# test keeps it that way.
 RSAT="$1"
 [ -x "$RSAT" ] || { echo "usage: ops_cli_golden.sh <path-to-rsat>"; exit 2; }
 
@@ -41,6 +41,10 @@ check "globalreduce prog=diamond limits=8,8 margin=2 id=1" \
 # The bare-path shorthand: `rsat minreg <file.ddg>` == `minreg file=...`.
 "$RSAT" dump lin-ddot > "$tmpdir/k.ddg" || fail=1
 check "minreg file=$tmpdir/k.ddg id=1" minreg "$tmpdir/k.ddg" id=1
+# analyze/reduce take the same shorthand: there is one one-shot path.
+check "analyze file=$tmpdir/k.ddg id=1" analyze "$tmpdir/k.ddg" id=1
+check "reduce file=$tmpdir/k.ddg limits=2,2 emit=1 id=1" \
+      reduce "$tmpdir/k.ddg" limits=2,2 emit=1 id=1
 
 # ... and its .prog twin: `rsat globalrs <file.prog>` == `globalrs file=...`.
 "$RSAT" dumpprog dotcond > "$tmpdir/p.prog" || fail=1

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end exercise of `rsat serve`:
 #   1. start on an ephemeral port with a persistent --cache-dir plus the
-#      telemetry artifacts (--trace-file, --metrics-json, --solve-log) and a
-#      generous --slo-ms objective,
+#      telemetry artifacts (--trace-file, --metrics-json) and a generous
+#      --slo-ms objective,
 #   2. drive analyze / cancel / drain / stats through a client socket
 #      (/dev/tcp), scrape the `metrics` verb twice and require the two warm
 #      expositions to agree byte-for-byte modulo sample values,
 #   3. SIGINT: the server drains and exits 0 with a summary, a schema-valid
-#      JSONL trace and solve log (every line carries the documented required
-#      keys), a metrics JSON whose counters tile, and a Prometheus
-#      exposition that parses,
+#      JSONL trace (every line carries the documented required keys and the
+#      input feature block), a metrics JSON whose counters tile, and a
+#      Prometheus exposition that parses,
 #   4. restart with the same --cache-dir: the same request must be served
 #      from the disk tier (cached=1 with an empty memory store, and the
 #      summary reports a disk hit), and the stats verb's key schema must be
@@ -43,7 +43,7 @@ start_server() { # $1 = log path
   "$RSAT" serve --port 0 --port-file "$WORK/port" \
       --cache-dir "$WORK/cache" --threads 2 \
       --trace-file "$1.trace.jsonl" --metrics-json "$1.metrics.json" \
-      --solve-log "$1.slog.jsonl" --slo-ms 60000 \
+      --slo-ms 60000 \
       2>"$1" &
   SERVER_PID=$!
   for _ in $(seq 1 300); do
@@ -76,18 +76,20 @@ request() { # $1 = request lines (\n-separated), $2 = expected reply count
 
 line_n() { printf '%s' "$REPLY" | sed -n "${1}p"; }
 
-# Validates one session's telemetry artifacts: every trace and solve-log
-# line is a JSON object carrying the documented required keys, the metrics
-# JSON parses and its engine.* counters tile, and the expected event count
-# matches in all three places.
+# Validates one session's telemetry artifacts: every trace line is a JSON
+# object carrying the documented required keys (the ddg_* feature block
+# included: every request here is fingerprinted), the metrics JSON parses
+# and its engine.* counters tile, and the expected event count matches in
+# all three places.
 check_telemetry() { # $1 = log path, $2 = expected trace events
   [ "$HAVE_PY" = 1 ] || return 0
-  python3 - "$1.trace.jsonl" "$1.metrics.json" "$1.slog.jsonl" "$2" <<'EOF' || fail "telemetry artifacts invalid (see above)"
+  python3 - "$1.trace.jsonl" "$1.metrics.json" "$2" <<'EOF' || fail "telemetry artifacts invalid (see above)"
 import json, sys
-trace_path, metrics_path, slog_path = sys.argv[1], sys.argv[2], sys.argv[3]
-expect = int(sys.argv[4])
+trace_path, metrics_path = sys.argv[1], sys.argv[2]
+expect = int(sys.argv[3])
 required = ["ev", "ts", "id", "op", "name", "fp", "ok", "cached", "tier",
-            "stop", "nodes", "total_ms"]
+            "stop", "nodes", "ddg_ops", "ddg_arcs", "ddg_cp", "ddg_width",
+            "ddg_types", "total_ms"]
 events = 0
 with open(trace_path) as f:
     for n, line in enumerate(f, 1):
@@ -96,21 +98,9 @@ with open(trace_path) as f:
         assert not missing, f"line {n} missing keys {missing}: {line!r}"
         assert ev["ev"] == "request", f"line {n} bad ev: {ev['ev']}"
         assert ev["tier"] in ("mem", "disk", "none"), ev["tier"]
+        assert ev["ddg_ops"] > 0 and ev["ddg_width"] > 0, line
         events += 1
 assert events == expect, f"expected {expect} trace events, found {events}"
-slog_required = ["ev", "v", "ts", "id", "op", "fp", "ddg_ops", "ddg_arcs",
-                 "ddg_cp", "ddg_width", "ddg_types", "ok", "cached", "tier",
-                 "stop", "nodes", "total_ms"]
-records = 0
-with open(slog_path) as f:
-    for n, line in enumerate(f, 1):
-        rec = json.loads(line)
-        missing = [k for k in slog_required if k not in rec]
-        assert not missing, f"slog line {n} missing keys {missing}: {line!r}"
-        assert rec["ev"] == "solve" and rec["v"] == 1, line
-        assert rec["ddg_ops"] > 0 and rec["ddg_width"] > 0, line
-        records += 1
-assert records == expect, f"expected {expect} solve records, found {records}"
 m = json.load(open(metrics_path))
 c = m["counters"]
 tiles = (c["engine.memory_hits"] + c["engine.disk_hits"]

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "ddg/kernels.hpp"
+#include "graph/paths.hpp"
 #include "service/engine.hpp"
 #include "service/ops/analyze.hpp"
+#include "service/protocol.hpp"
 #include "service/trace.hpp"
 #include "support/metrics.hpp"
 
@@ -313,6 +315,45 @@ TEST(TraceRender, RequiredKeysAlwaysPresent) {
   EXPECT_EQ(line.find("\"err\":"), std::string::npos);
 }
 
+TEST(TraceRender, FeatureBlockFollowsNodesWhenFingerprinted) {
+  TraceSpan span;
+  span.id = 42;
+  span.op = "globalrs";
+  span.name = "k";
+  span.fp = "cafe";
+  span.nodes = 2;
+  span.blocks_parallel = 3;
+  span.ddg_ops = 10;
+  span.ddg_arcs = 17;
+  span.ddg_cp = 11;
+  span.ddg_width = 4;
+  span.ddg_types = "4,5";
+  span.parse_ms = 0.5;
+  span.total_ms = 2.0;
+  const std::string line = render_trace_json(span, 1234.5);
+  EXPECT_EQ(line, render_trace_json(span, 1234.5));  // byte-stable
+  std::size_t pos = 0;
+  for (const char* key :
+       {"\"ev\":\"request\"", "\"ts\":1234.500000", "\"id\":42",
+        "\"op\":\"globalrs\"", "\"name\":\"k\"", "\"fp\":\"cafe\"",
+        "\"ok\":true", "\"cached\":false", "\"tier\":\"none\"",
+        "\"stop\":\"proven\"", "\"nodes\":2", "\"blocks_parallel\":3",
+        "\"ddg_ops\":10", "\"ddg_arcs\":17", "\"ddg_cp\":11",
+        "\"ddg_width\":4", "\"ddg_types\":\"4,5\"", "\"parse_ms\":0.500",
+        "\"total_ms\":2.000"}) {
+    const std::size_t at = line.find(key, pos);
+    ASSERT_NE(at, std::string::npos) << key << " missing in " << line;
+    pos = at;
+  }
+
+  // No fingerprint (the request failed before it): no feature block, even
+  // when feature fields happen to be set.
+  span.fp.clear();
+  const std::string bare = render_trace_json(span, 0);
+  EXPECT_EQ(bare.find("\"ddg_"), std::string::npos) << bare;
+  expect_required_keys(bare);
+}
+
 TEST(TraceRender, MeasuredPhasesAppearOmittedOnesDoNot) {
   TraceSpan span;
   span.queue_ms = 0.25;
@@ -436,6 +477,19 @@ TEST(TraceEngine, SpansRideOnResponsesWhenEnabled) {
   EXPECT_GE(cold.trace->lookup_ms, 0.0);
   EXPECT_GE(cold.trace->solve_ms, 0.0);  // owners measure the solve
   EXPECT_GE(cold.trace->total_ms, 0.0);
+  // Input shape features describe the normalized DAG.
+  const ddg::Ddg normalized = dag.normalized();
+  EXPECT_EQ(cold.trace->ddg_ops, normalized.op_count());
+  EXPECT_EQ(cold.trace->ddg_arcs, normalized.graph().edge_count());
+  EXPECT_EQ(cold.trace->ddg_cp, graph::critical_path(normalized.graph()));
+  EXPECT_GT(cold.trace->ddg_width, 0);
+  EXPECT_LE(cold.trace->ddg_width, cold.trace->ddg_ops);
+  std::string types;
+  for (int t = 0; t < normalized.type_count(); ++t) {
+    if (t > 0) types += ',';
+    types += std::to_string(normalized.values_of_type(t).size());
+  }
+  EXPECT_EQ(cold.trace->ddg_types, types);
 
   Request second = make_analyze_request(dag);
   second.id = 2;
@@ -444,87 +498,32 @@ TEST(TraceEngine, SpansRideOnResponsesWhenEnabled) {
   EXPECT_TRUE(warm.trace->cached);
   EXPECT_STREQ(warm.trace->tier, "mem");
   EXPECT_LT(warm.trace->solve_ms, 0.0);  // cache hits never enter solve
+  // Cache hits carry the same features: they describe the input, not the
+  // solve.
+  EXPECT_EQ(warm.trace->ddg_ops, cold.trace->ddg_ops);
+  EXPECT_EQ(warm.trace->ddg_arcs, cold.trace->ddg_arcs);
+  EXPECT_EQ(warm.trace->ddg_cp, cold.trace->ddg_cp);
+  EXPECT_EQ(warm.trace->ddg_width, cold.trace->ddg_width);
+  EXPECT_EQ(warm.trace->ddg_types, cold.trace->ddg_types);
 }
 
-TEST(SolveLogRender, KeyOrderIsByteStableAndSchemaVersioned) {
-  SolveLogRecord rec;
-  rec.id = 42;
-  rec.op = "analyze";
-  rec.fp = "cafe";
-  rec.ddg_ops = 10;
-  rec.ddg_arcs = 17;
-  rec.ddg_cp = 11;
-  rec.ddg_width = 4;
-  rec.ddg_types = "4,5";
-  rec.ok = true;
-  rec.nodes = 2;
-  rec.parse_ms = 0.5;
-  rec.solve_ms = 1.25;
-  rec.total_ms = 2.0;
-  const std::string line = render_solve_log_json(rec, 1234.5);
-  EXPECT_EQ(line, render_solve_log_json(rec, 1234.5));  // byte-stable
-  // Keys appear in the documented order (the training-corpus contract).
-  std::size_t pos = 0;
-  for (const char* key :
-       {"\"ev\":\"solve\"", "\"v\":1", "\"ts\":1234.500000", "\"id\":42",
-        "\"op\":\"analyze\"", "\"fp\":\"cafe\"", "\"ddg_ops\":10",
-        "\"ddg_arcs\":17", "\"ddg_cp\":11", "\"ddg_width\":4",
-        "\"ddg_types\":\"4,5\"", "\"ok\":true", "\"cached\":false",
-        "\"tier\":\"none\"", "\"stop\":\"proven\"", "\"nodes\":2",
-        "\"parse_ms\":0.500", "\"solve_ms\":1.250", "\"total_ms\":2.000"}) {
-    const std::size_t at = line.find(key, pos);
-    ASSERT_NE(at, std::string::npos) << key << " missing in " << line;
-    pos = at;
-  }
-  // Unmeasured phases are omitted.
-  SolveLogRecord bare;
-  const std::string sparse = render_solve_log_json(bare, 0);
-  EXPECT_EQ(sparse.find("\"parse_ms\":"), std::string::npos);
-  EXPECT_EQ(sparse.find("\"solve_ms\":"), std::string::npos);
-  EXPECT_NE(sparse.find("\"total_ms\":0.000"), std::string::npos);
-}
-
-TEST(SolveLogEngine, RecordsRideOnResponsesWhenEnabled) {
+TEST(TraceEngine, ProgramSpansCarryBlockLevelFeatures) {
   EngineConfig cfg;
   cfg.threads = 1;
-  cfg.solve_log = true;
+  cfg.trace = true;
   AnalysisEngine engine(cfg);
-  const auto dag = ddg::build_kernel("lin-ddot", ddg::superscalar_model());
-
-  Request first = make_analyze_request(dag);
-  first.id = 9;
-  const Response cold = engine.run(first);
-  ASSERT_NE(cold.solve_log, nullptr);
-  EXPECT_EQ(cold.solve_log->id, 9u);
-  EXPECT_EQ(cold.solve_log->op, "analyze");
-  EXPECT_EQ(cold.solve_log->fp, cold.fingerprint.hex());
-  EXPECT_TRUE(cold.solve_log->ok);
-  EXPECT_FALSE(cold.solve_log->cached);
-  // Cheap canonical features match the normalized DAG.
-  EXPECT_EQ(cold.solve_log->ddg_ops, static_cast<long long>(dag.op_count()));
-  EXPECT_GT(cold.solve_log->ddg_arcs, 0);
-  EXPECT_GT(cold.solve_log->ddg_cp, 0);
-  EXPECT_GT(cold.solve_log->ddg_width, 0);
-  EXPECT_FALSE(cold.solve_log->ddg_types.empty());
-  EXPECT_GE(cold.solve_log->solve_ms, 0.0);
-
-  Request second = make_analyze_request(dag);
-  second.id = 10;
-  const Response warm = engine.run(second);
-  ASSERT_NE(warm.solve_log, nullptr);
-  EXPECT_TRUE(warm.solve_log->cached);
-  EXPECT_STREQ(warm.solve_log->tier, "mem");
-  EXPECT_LT(warm.solve_log->solve_ms, 0.0);  // cache hits never enter solve
-}
-
-TEST(SolveLogEngine, NoRecordsWhenDisabled) {
-  EngineConfig cfg;
-  cfg.threads = 1;
-  AnalysisEngine engine(cfg);
-  const Response resp = engine.run(
-      make_analyze_request(ddg::build_kernel("lin-ddot",
-                                             ddg::superscalar_model())));
-  EXPECT_EQ(resp.solve_log, nullptr);
+  const Response resp =
+      engine.run(parse_request_line("globalrs prog=diamond", 1));
+  ASSERT_TRUE(resp.payload->ok) << resp.payload->error;
+  ASSERT_NE(resp.trace, nullptr);
+  EXPECT_EQ(resp.trace->op, "globalrs");
+  EXPECT_EQ(resp.trace->fp, resp.fingerprint.hex());
+  // Program features: width = block count, cp not computed across blocks.
+  EXPECT_EQ(resp.trace->ddg_width, 4);
+  EXPECT_EQ(resp.trace->ddg_cp, 0);
+  EXPECT_GT(resp.trace->ddg_ops, 0);
+  EXPECT_GT(resp.trace->ddg_arcs, 0);
+  EXPECT_FALSE(resp.trace->ddg_types.empty());
 }
 
 TEST(TraceEngine, NoSpansWhenDisabled) {

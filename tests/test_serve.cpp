@@ -181,18 +181,25 @@ TEST(Serve, TraceFileCapturesOneEventPerRequest) {
   std::string text;
   ASSERT_TRUE(support::read_file_to_string(path.string(), &text));
   // Two JSONL events: a miss with a solve phase, then a mem-tier hit
-  // without one; both carry the full required-key set and the wire cost.
+  // without one; both carry the full required-key set, the input's shape
+  // features and the wire cost.
   std::size_t lines = 0, at = 0;
+  std::vector<std::string> features;  // each event's ddg_* block
   for (std::size_t nl = text.find('\n'); nl != std::string::npos;
        nl = text.find('\n', at)) {
     const std::string line = text.substr(at, nl - at);
     at = nl + 1;
     ++lines;
+    const std::size_t f = line.find("\"ddg_ops\":");
+    if (f != std::string::npos) {
+      features.push_back(line.substr(f, line.find(",\"parse_ms\":") - f));
+    }
     for (const char* key :
          {"\"ev\":\"request\"", "\"ts\":", "\"op\":\"analyze\"", "\"fp\":",
           "\"ok\":true", "\"tier\":", "\"stop\":\"proven\"", "\"nodes\":",
-          "\"parse_ms\":", "\"queue_ms\":", "\"encode_ms\":", "\"total_ms\":",
-          "\"bytes\":"}) {
+          "\"ddg_ops\":", "\"ddg_arcs\":", "\"ddg_cp\":", "\"ddg_width\":",
+          "\"ddg_types\":", "\"parse_ms\":", "\"queue_ms\":",
+          "\"encode_ms\":", "\"total_ms\":", "\"bytes\":"}) {
       EXPECT_NE(line.find(key), std::string::npos)
           << key << " missing in " << line;
     }
@@ -202,6 +209,11 @@ TEST(Serve, TraceFileCapturesOneEventPerRequest) {
   EXPECT_NE(text.find("\"cached\":true"), std::string::npos);
   EXPECT_NE(text.find("\"tier\":\"mem\""), std::string::npos);
   EXPECT_NE(text.find("\"solve_ms\":"), std::string::npos);
+  // The hit describes the same input as the miss, and the input is real.
+  ASSERT_EQ(features.size(), 2u);
+  EXPECT_EQ(features[0], features[1]);
+  EXPECT_EQ(features[0].find("\"ddg_ops\":0,"), std::string::npos)
+      << features[0];
   std::filesystem::remove(path);
 }
 
@@ -304,52 +316,6 @@ TEST(Serve, SloObjectivesCountBreachesAndExtendStats) {
   for (const auto& [k, v] : warm) warm_keys.push_back(k);
   EXPECT_EQ(cold_keys, warm_keys);
   EXPECT_TRUE(server->engine().stats().counters_tile());
-}
-
-TEST(Serve, SolveLogFileCapturesOneRecordPerRequest) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "rs_serve_slog.jsonl";
-  std::filesystem::remove(path);
-  {
-    ServeConfig cfg;
-    cfg.engine.threads = 2;
-    cfg.solve_log_file = path.string();
-    ServerFixture server(cfg);
-    ASSERT_NE(server->solve_log_sink(), nullptr);
-    LineClient client(server->port());
-    // The duplicate goes out only after the first result line arrived:
-    // pipelined, it could coalesce onto the in-flight solve (cached=1
-    // tier=none) instead of hitting the memory tier.
-    client.send("analyze kernel=lin-ddot\n");
-    EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "0");
-    client.send("analyze kernel=lin-ddot\ndrain\n");
-    EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
-    EXPECT_EQ(client.next_line(), "drained");
-    EXPECT_EQ(server->solve_log_sink()->written(), 2u);
-    EXPECT_EQ(server->solve_log_sink()->dropped(), 0u);
-  }  // shutdown flushes the sink
-  std::string text;
-  ASSERT_TRUE(support::read_file_to_string(path.string(), &text));
-  std::size_t lines = 0, at = 0;
-  for (std::size_t nl = text.find('\n'); nl != std::string::npos;
-       nl = text.find('\n', at)) {
-    const std::string line = text.substr(at, nl - at);
-    at = nl + 1;
-    ++lines;
-    for (const char* key :
-         {"\"ev\":\"solve\"", "\"v\":1", "\"ts\":", "\"op\":\"analyze\"",
-          "\"fp\":", "\"ddg_ops\":", "\"ddg_arcs\":", "\"ddg_cp\":",
-          "\"ddg_width\":", "\"ddg_types\":", "\"ok\":true", "\"tier\":",
-          "\"stop\":\"proven\"", "\"nodes\":", "\"total_ms\":"}) {
-      EXPECT_NE(line.find(key), std::string::npos)
-          << key << " missing in " << line;
-    }
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(text.find("\"cached\":false"), std::string::npos);
-  EXPECT_NE(text.find("\"cached\":true"), std::string::npos);
-  EXPECT_NE(text.find("\"tier\":\"mem\""), std::string::npos);
-  std::filesystem::remove(path);
 }
 
 TEST(Serve, MalformedLineAnswersErrorAndConnectionSurvives) {

@@ -1,18 +1,14 @@
 // rsat — command-line front end for the register saturation library.
 //
-//   rsat analyze <file.ddg> [--engine greedy|exact|ilp] [--budget S]
-//       [--stats]
-//       RS per register type, with witnesses proven or estimated.
-//   rsat reduce <file.ddg> --limits N[,N...] [--exact] [--budget S]
-//       [--stats] [-o out.ddg]
-//       figure-1 pipeline; writes the register-safe DDG.
 //   rsat <operation> <file.ddg | kernel=<name> | ...> [key=value ...]
 //       one-shot protocol request for any registered service operation
-//       (minreg, spill, schedule, ... — `rsat` with no arguments lists
-//       them). Options are the protocol's own key=value tokens, parsed by
-//       the same parser batch and serve use, and the answer is the
-//       protocol result line — byte-identical to what batch/serve emit
-//       for the same request (modulo cached=/ms=).
+//       (analyze, reduce, minreg, spill, schedule, ... — `rsat` with no
+//       arguments lists them). Options are the protocol's own key=value
+//       tokens (budget=<sec>, limits=, emit=1, ...), parsed by the same
+//       parser batch and serve use, and the answer is the protocol result
+//       line — byte-identical to what batch/serve emit for the same
+//       request (modulo cached=/ms=). A bare path is shorthand for
+//       file=<path>.
 //   rsat dot <file.ddg>
 //       Graphviz dump.
 //   rsat kernels
@@ -20,7 +16,7 @@
 //   rsat dump <kernel> [--vliw]
 //       emit a built-in kernel in the .ddg text format.
 //   rsat batch [manifest] [--threads N] [--cache-mb M] [--cache-dir D]
-//       [--trace-file F] [--solve-log F] [--metrics-json F] [--vliw]
+//       [--trace-file F] [--metrics-json F] [--vliw]
 //       stream protocol requests (stdin or manifest file) through the
 //       cached concurrent analysis engine; result lines on stdout, a
 //       summary with hit rate (split by memory/disk tier) and latency
@@ -29,7 +25,7 @@
 //       solves cooperatively, prints every pending result plus the
 //       summary, and exits 0.
 //   rsat serve [--host H] [--port P] [--port-file F] [--threads N]
-//       [--cache-mb M] [--cache-dir D] [--trace-file F] [--solve-log F]
+//       [--cache-mb M] [--cache-dir D] [--trace-file F]
 //       [--metrics-json F] [--metrics-interval-s N] [--slow-ms T]
 //       [--slo-ms T] [--vliw]
 //       poll-based TCP front end speaking the same line protocol, one
@@ -44,20 +40,14 @@
 //
 // --cache-dir D enables the persistent on-disk result tier under D (shared
 // by batch and serve; entries survive restarts and are keyed by the
-// canonical DDG fingerprint + request options). --budget S bounds total
-// solve seconds (0 = no deadline); S must be a finite non-negative number.
-// --stats prints aggregate solver statistics (nodes, prunes, simplex
-// iterations, stop cause).
+// canonical DDG fingerprint + request options).
 //
 // Observability (batch and serve; see README "Observability"):
 //   --trace-file F    one JSONL trace event per request (parse, queue,
 //                     fingerprint, store lookup, solve, encode phases plus
-//                     cache tier / stop cause / node count) to F
-//   --solve-log F     one JSONL solve-log record per request to F: cheap
-//                     canonical input features (ops, arcs, critical path,
-//                     width, type mix) plus the outcome (stop cause,
-//                     nodes, per-phase ms, cache tier) — the
-//                     training corpus for adaptive strategy prediction
+//                     cache tier / stop cause / node count and the input's
+//                     shape features: ops, arcs, critical path, width,
+//                     per-type value counts) to F
 //   --metrics-json F  full metrics-registry snapshot (counters, gauges,
 //                     histogram quantiles) written to F at exit
 //   --metrics-interval-s N  serve only: atomically rewrite --metrics-json
@@ -76,7 +66,6 @@
 // result protocol in src/service/protocol.hpp.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -96,10 +85,8 @@
 
 #include "cfg/generators.hpp"
 #include "cfg/io.hpp"
-#include "core/saturation.hpp"
 #include "ddg/io.hpp"
 #include "ddg/kernels.hpp"
-#include "graph/paths.hpp"
 #include "service/engine.hpp"
 #include "service/operation.hpp"
 #include "service/protocol.hpp"
@@ -120,28 +107,21 @@ int usage() {
   // operations batch/serve/one-shot actually accept.
   std::ostringstream os;
   os << "usage:\n"
-        "  rsat analyze <file.ddg> [--engine greedy|exact|ilp] [--budget S]\n"
-        "               [--stats]\n"
-        "  rsat reduce  <file.ddg> --limits N[,N...] [--exact] [--budget S]\n"
-        "               [--stats] [-o out.ddg]\n"
         "  rsat <op>    <file.ddg | kernel=<k> | ddg=<esc>> [key=value ...]\n"
         "               one-shot protocol request; prints the result line\n"
-        "               (analyze/reduce with a bare <file.ddg> keep the\n"
-        "               flag forms above). Program operations take\n"
-        "               <file.prog | prog=<p>> payloads instead\n"
+        "               (a bare path means file=<path>). Program operations\n"
+        "               take <file.prog | prog=<p>> payloads instead\n"
         "  rsat dot     <file.ddg>\n"
         "  rsat kernels\n"
         "  rsat programs\n"
         "  rsat dump <kernel> [--vliw]\n"
         "  rsat dumpprog <program> [--vliw]\n"
         "  rsat batch [manifest] [--threads N] [--cache-mb M] [--cache-dir D]\n"
-        "             [--trace-file F] [--solve-log F] [--metrics-json F]\n"
-        "             [--vliw]\n"
+        "             [--trace-file F] [--metrics-json F] [--vliw]\n"
         "  rsat serve [--host H] [--port P] [--port-file F] [--threads N]\n"
         "             [--cache-mb M] [--cache-dir D] [--trace-file F]\n"
-        "             [--solve-log F] [--metrics-json F]\n"
-        "             [--metrics-interval-s N] [--slow-ms T] [--slo-ms T]\n"
-        "             [--vliw]\n"
+        "             [--metrics-json F] [--metrics-interval-s N]\n"
+        "             [--slow-ms T] [--slo-ms T] [--vliw]\n"
         "  rsat top   --port P [--host H] [--interval-s N] [--once]\n"
         "\n"
         "operations (one-shot <op> and batch/serve request lines: "
@@ -186,128 +166,12 @@ int cmd_oneshot(const rs::service::Operation& op, int argc, char** argv) {
   return resp.payload->ok && resp.payload->success ? 0 : 1;
 }
 
-double parse_budget(const std::string& s) {
-  return rs::support::parse_budget_seconds(s, "--budget");
-}
-
-std::string read_file(const std::string& path) {
+/// Reads and normalizes a .ddg file (`rsat dot`).
+rs::ddg::Ddg load(const std::string& path) {
   std::string text;
   RS_REQUIRE(rs::support::read_file_to_string(path, &text),
              "cannot open " + path);
-  return text;
-}
-
-rs::ddg::Ddg load(const std::string& path) {
-  const rs::ddg::Ddg raw = rs::ddg::from_text(read_file(path));
-  return raw.normalized();
-}
-
-int cmd_analyze(int argc, char** argv) {
-  if (argc < 3) return usage();
-  rs::core::AnalyzeOptions opts;
-  double budget = 30.0;  // seconds; 0 = no deadline
-  bool want_stats = false;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
-      const std::string e = argv[++i];
-      if (e == "greedy") opts.engine = rs::core::RsEngine::Greedy;
-      else if (e == "exact") opts.engine = rs::core::RsEngine::ExactCombinatorial;
-      else if (e == "ilp") opts.engine = rs::core::RsEngine::ExactIlp;
-      else return usage();
-    } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
-      try {
-        budget = parse_budget(argv[++i]);
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
-      }
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    }
-  }
-  const rs::ddg::Ddg dag = load(argv[2]);
-  std::printf("%s: %d ops, %d arcs, critical path %lld\n",
-              dag.name().c_str(), dag.op_count(), dag.graph().edge_count(),
-              static_cast<long long>(rs::graph::critical_path(dag.graph())));
-  const rs::core::SaturationReport report =
-      rs::core::analyze(dag, opts, rs::support::SolveContext(budget));
-  for (const auto& t : report.per_type) {
-    std::printf("type %d: %d values, RS = %d (%s)\n", t.type, t.value_count,
-                t.rs, t.proven ? "proven" : "estimate");
-    if (want_stats) {
-      std::printf("type %d stats: %s\n", t.type, t.stats.summary().c_str());
-    }
-  }
-  if (want_stats) {
-    std::printf("stats: %s\n", report.stats.summary().c_str());
-  }
-  return 0;
-}
-
-int cmd_reduce(int argc, char** argv) {
-  if (argc < 3) return usage();
-  std::vector<int> limits;
-  std::string out_path;
-  rs::core::PipelineOptions opts;
-  double budget = 30.0;  // seconds; 0 = no deadline
-  bool want_stats = false;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--limits") && i + 1 < argc) {
-      try {
-        limits = rs::support::parse_int_list(argv[++i], ',', "--limits");
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
-      }
-    } else if (!std::strcmp(argv[i], "--exact")) {
-      opts.exact_reduction = true;
-    } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
-      try {
-        budget = parse_budget(argv[++i]);
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
-      }
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    } else if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
-  const rs::ddg::Ddg dag = load(argv[2]);
-  if (static_cast<int>(limits.size()) != dag.type_count()) {
-    std::fprintf(stderr, "need %d comma-separated limits (one per type)\n",
-                 dag.type_count());
-    return 2;
-  }
-  const rs::core::PipelineResult result = rs::core::ensure_limits(
-      dag, limits, opts, rs::support::SolveContext(budget));
-  for (rs::ddg::RegType t = 0; t < dag.type_count(); ++t) {
-    const auto& r = result.per_type[t];
-    const char* status = "?";
-    switch (r.status) {
-      case rs::core::ReduceStatus::AlreadyFits: status = "fits"; break;
-      case rs::core::ReduceStatus::Reduced: status = "reduced"; break;
-      case rs::core::ReduceStatus::SpillNeeded: status = "SPILL NEEDED"; break;
-      case rs::core::ReduceStatus::LimitHit: status = "budget exhausted"; break;
-    }
-    std::printf("type %d: %s (RS -> %d, +%d arcs, ILP loss %lld)\n", t, status,
-                r.achieved_rs, r.arcs_added,
-                static_cast<long long>(r.ilp_loss()));
-  }
-  if (want_stats) {
-    std::printf("stats: %s\n", result.stats.summary().c_str());
-  }
-  if (!result.success) {
-    std::fprintf(stderr, "pipeline incomplete: %s\n", result.note.c_str());
-    return 1;
-  }
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << rs::ddg::to_text(result.out);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  return rs::ddg::from_text(text).normalized();
 }
 
 volatile std::sig_atomic_t g_interrupted = 0;
@@ -451,10 +315,6 @@ int cmd_serve(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
         cfg.trace_file = argv[++i];
         RS_REQUIRE(!cfg.trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--solve-log") && i + 1 < argc) {
-        cfg.solve_log_file = argv[++i];
-        RS_REQUIRE(!cfg.solve_log_file.empty(),
-                   "--solve-log must not be empty");
       } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
         metrics_json = argv[++i];
         RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
@@ -551,12 +411,6 @@ int cmd_serve(int argc, char** argv) {
                  sink->path().c_str(),
                  static_cast<unsigned long long>(sink->dropped()));
   }
-  if (const rs::service::TraceSink* sink = server.solve_log_sink()) {
-    std::fprintf(stderr, "solve log: %llu records to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(sink->written()),
-                 sink->path().c_str(),
-                 static_cast<unsigned long long>(sink->dropped()));
-  }
   write_metrics_json(server.engine().metrics(), metrics_json);
   return 0;
 }
@@ -564,7 +418,6 @@ int cmd_serve(int argc, char** argv) {
 int cmd_batch(int argc, char** argv) {
   std::string manifest_path;
   std::string trace_file;
-  std::string solve_log_file;
   std::string metrics_json;
   rs::service::EngineConfig cfg;
   rs::service::ProtocolOptions popts;
@@ -584,9 +437,6 @@ int cmd_batch(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
         trace_file = argv[++i];
         RS_REQUIRE(!trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--solve-log") && i + 1 < argc) {
-        solve_log_file = argv[++i];
-        RS_REQUIRE(!solve_log_file.empty(), "--solve-log must not be empty");
       } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
         metrics_json = argv[++i];
         RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
@@ -627,13 +477,6 @@ int cmd_batch(int argc, char** argv) {
     rs::service::TraceSink::Config tc;
     tc.path = trace_file;
     trace_sink = std::make_unique<rs::service::TraceSink>(tc);
-  }
-  // The solve log shares the sink machinery: one pre-rendered JSONL record
-  // per request, written by the printer at delivery time.
-  cfg.solve_log = !solve_log_file.empty();
-  std::unique_ptr<rs::service::TraceSink> solve_log_sink;
-  if (cfg.solve_log) {
-    solve_log_sink = std::make_unique<rs::service::TraceSink>(solve_log_file);
   }
 
   rs::service::AnalysisEngine engine(cfg);
@@ -717,10 +560,6 @@ int cmd_batch(int argc, char** argv) {
           resp.trace->encode_ms = encode.millis();
           resp.trace->bytes = out_line.size() + 1;  // + '\n'
           trace_sink->write(*resp.trace);
-        }
-        if (solve_log_sink != nullptr && resp.solve_log != nullptr) {
-          solve_log_sink->write_line(rs::service::render_solve_log_json(
-              *resp.solve_log, rs::support::unix_now_seconds()));
         }
         std::puts(out_line.c_str());
       }
@@ -806,7 +645,6 @@ int cmd_batch(int argc, char** argv) {
   sigint_watcher.join();
   failed += parse_errors;
   if (trace_sink != nullptr) trace_sink->flush();
-  if (solve_log_sink != nullptr) solve_log_sink->flush();
 
   if (total == 0) {
     std::fprintf(stderr, "batch: 0 requests\n");
@@ -835,12 +673,6 @@ int cmd_batch(int argc, char** argv) {
                  static_cast<unsigned long long>(trace_sink->written()),
                  trace_sink->path().c_str(),
                  static_cast<unsigned long long>(trace_sink->dropped()));
-  }
-  if (solve_log_sink != nullptr) {
-    std::fprintf(stderr, "solve log: %llu records to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(solve_log_sink->written()),
-                 solve_log_sink->path().c_str(),
-                 static_cast<unsigned long long>(solve_log_sink->dropped()));
   }
   write_metrics_json(engine.metrics(), metrics_json);
   if (g_interrupted) return 0;  // drained cleanly after Ctrl-C
@@ -994,19 +826,9 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
     const std::string cmd = argv[1];
-    // A protocol-token payload (kernel=..., ddg=...) selects the generic
-    // one-shot path even for analyze/reduce, so every registered operation
-    // accepts every payload form; a bare <file.ddg> keeps their legacy
-    // human-readable flag commands.
-    const bool proto_payload =
-        argc >= 3 && std::strchr(argv[2], '=') != nullptr;
-    if ((cmd != "analyze" && cmd != "reduce") || proto_payload) {
-      if (const auto* op = rs::service::find_operation(cmd)) {
-        return cmd_oneshot(*op, argc, argv);
-      }
+    if (const auto* op = rs::service::find_operation(cmd)) {
+      return cmd_oneshot(*op, argc, argv);
     }
-    if (cmd == "analyze") return cmd_analyze(argc, argv);
-    if (cmd == "reduce") return cmd_reduce(argc, argv);
     if (cmd == "dot") {
       if (argc < 3) return usage();
       std::fputs(load(argv[2]).to_dot().c_str(), stdout);

@@ -28,7 +28,7 @@ repo's determinism and observability contracts — hold by construction:
 
   metric-literal  Metric-name string literals ("engine.*", "op.*",
                   "store.*", "pool.*", "serve.*", "solver.*", "slo.*"),
-                  trace-event phase keys, and solve-log feature keys may
+                  and trace-event keys (phases and input features) may
                   appear only in their subsystem's single
                   registration/render site. One site per name means
                   grep-for-the-literal finds the writer, and a renamed
@@ -86,15 +86,12 @@ METRIC_RE = re.compile(
     r"(engine|op|store|pool|serve|solver|slo)"
     r"\.[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\Z")
 
-# Trace-event phase keys rendered by render_trace_json; single site below.
+# Trace-event keys rendered by render_trace_json (phase timings, the
+# fan-out count and the input feature block); single site below. Keeping
+# the spelling in one file keeps the JSONL schema stable for consumers.
 TRACE_KEYS = frozenset({
     "parse_ms", "queue_ms", "fp_ms", "lookup_ms", "solve_ms", "encode_ms",
     "total_ms", "blocks_parallel",
-})
-# Solve-log feature keys rendered by render_solve_log_json; same site.
-# Keeping the spelling in one file is what makes the JSONL schema-stable
-# enough to train on (ROADMAP: adaptive strategy prediction).
-SOLVE_LOG_KEYS = frozenset({
     "ddg_ops", "ddg_arcs", "ddg_cp", "ddg_width", "ddg_types",
 })
 TRACE_SITE = "src/service/trace.cpp"
@@ -266,11 +263,7 @@ def lint_file(root, relpath):
                        % (content, site))
         elif content in TRACE_KEYS and relpath != TRACE_SITE:
             report("metric-literal", lineno,
-                   'trace phase key "%s" outside the render site %s'
-                   % (content, TRACE_SITE))
-        elif content in SOLVE_LOG_KEYS and relpath != TRACE_SITE:
-            report("metric-literal", lineno,
-                   'solve-log key "%s" outside the render site %s'
+                   'trace key "%s" outside the render site %s'
                    % (content, TRACE_SITE))
 
     # Unknown rule names in allow() comments are errors too: a typo'd
