@@ -41,7 +41,9 @@
 //            paper's cross-block move margin, default 1)
 //   cancel   <id>    cooperative cancel of a pending/running request; its
 //                    result line still arrives (stop=cancelled, not cached)
-//   drain            block until every previously submitted request is done
+//   drain            block until every previously submitted request is done:
+//                    the issuing stream is not read further until the
+//                    "drained" ack is out (other streams carry on)
 //   stats            live engine telemetry as one line (see below); takes
 //                    no arguments and completes no work
 //   metrics          full metrics registry in Prometheus text exposition

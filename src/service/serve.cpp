@@ -1,5 +1,6 @@
 #include "service/serve.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -15,6 +16,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RS_SERVE_POSIX 1
+#include <fcntl.h>
 #include <poll.h>
 #else
 #define RS_SERVE_POSIX 0
@@ -30,18 +32,21 @@ struct Slot {
   std::future<Response> fut;
   bool stats = false;
   bool metrics = false;
+  bool drain = false;  // the stream reads no further line until it is out
 };
 
 struct SocketServer::Conn {
-  int fd = -1;
+  int fd = -1;      // read side
+  int out_fd = -1;  // write side; == fd for a socket
   std::string in_buf;   // bytes read, split into lines as '\n' arrives
-  std::string out_buf;  // rendered lines awaiting a writable socket
+  std::string out_buf;  // rendered lines awaiting a writable fd
   /// First unsent byte of out_buf. An offset instead of erase-per-send:
   /// trimming the front of a multi-MB response on every partial send
   /// would memmove the remainder each time (quadratic on the network
   /// thread); the buffer is compacted once drained (or past 1 MiB sent).
   std::size_t out_off = 0;
   bool out_empty() const { return out_off >= out_buf.size(); }
+  bool has_line() const { return in_buf.find('\n') != std::string::npos; }
   std::deque<Slot> slots;
   int lineno = 0;
   bool closed_read = false;  // peer EOF: finish answering, then close
@@ -61,6 +66,11 @@ struct SocketServer::Conn {
 
 namespace {
 
+/// Unsent output past which pump_ready() stops rendering: the slots then
+/// fill to the cap and reading pauses, so a peer (or a batch stdout) that
+/// stops taking results bounds the server's memory.
+constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
+
 /// Trace spans are engine-produced; a configured trace_file turns their
 /// collection on.
 EngineConfig with_trace_enabled(EngineConfig engine, bool trace) {
@@ -68,12 +78,24 @@ EngineConfig with_trace_enabled(EngineConfig engine, bool trace) {
   return engine;
 }
 
+#if RS_SERVE_POSIX
+/// Restores saved (fd, F_GETFL status flags) pairs on scope exit, last
+/// first.
+struct FlagRestore {
+  std::vector<std::pair<int, int>> saved;
+  ~FlagRestore() {
+    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+      if (it->second >= 0) ::fcntl(it->first, F_SETFL, it->second);
+    }
+  }
+};
+#endif
+
 }  // namespace
 
-SocketServer::SocketServer(const ServeConfig& cfg)
+SocketServer::SocketServer(const ServeConfig& cfg, int in_fd, int out_fd)
     : cfg_(cfg),
       engine_(with_trace_enabled(cfg.engine, !cfg.trace_file.empty())),
-      listener_(cfg.host, cfg.port),
       connections_(engine_.metrics().counter("serve.connections")),
       open_conns_(engine_.metrics().gauge("serve.open_conns")),
       requests_(engine_.metrics().counter("serve.requests")),
@@ -87,6 +109,15 @@ SocketServer::SocketServer(const ServeConfig& cfg)
   if (!cfg_.trace_file.empty()) {
     trace_sink_ = std::make_unique<TraceSink>(cfg_.trace_file);
   }
+  if (in_fd >= 0) {
+    borrowed_fds_ = {in_fd, out_fd};
+    add_conn(in_fd, out_fd);
+  }
+}
+
+SocketServer::SocketServer(const ServeConfig& cfg)
+    : SocketServer(cfg, -1, -1) {
+  listener_.emplace(cfg_.host, cfg_.port);
   if (!cfg_.port_file.empty()) {
     RS_REQUIRE(support::write_file_atomic(cfg_.port_file,
                                           std::to_string(port()) + "\n"),
@@ -95,6 +126,7 @@ SocketServer::SocketServer(const ServeConfig& cfg)
 }
 
 SocketServer::~SocketServer() {
+  if (!listener_) return;  // a stream server's fds are the caller's
   for (auto& c : conns_) support::close_fd(c->fd);
 }
 
@@ -112,9 +144,18 @@ ServeStats SocketServer::serve_stats() const {
   return out;
 }
 
+void SocketServer::add_conn(int fd, int out_fd) {
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->out_fd = out_fd;
+  conns_.push_back(std::move(conn));
+  connections_.inc();
+  open_conns_.add(1);
+}
+
 void SocketServer::accept_new() {
   for (;;) {
-    const int fd = listener_.accept_client();
+    const int fd = listener_->accept_client();
     if (fd == -1) return;  // nothing pending
     if (fd == -2) {
       // Accept failed but the connection stays queued (fd exhaustion and
@@ -123,12 +164,13 @@ void SocketServer::accept_new() {
       accept_backoff_ = 50;
       return;
     }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conns_.push_back(std::move(conn));
-    connections_.inc();
-    open_conns_.add(1);
+    add_conn(fd, fd);
   }
+}
+
+bool SocketServer::accepts_line(const Conn& c) const {
+  return c.slots.size() < cfg_.max_pending_per_conn &&
+         (c.slots.empty() || !c.slots.back().drain);
 }
 
 void SocketServer::read_conn(Conn& c) {
@@ -149,7 +191,13 @@ void SocketServer::read_conn(Conn& c) {
       bytes_in_.inc(static_cast<std::uint64_t>(n));
       continue;
     }
-    if (n == 0) c.closed_read = true;
+    if (n == 0) {
+      c.closed_read = true;
+      // EOF ends an unterminated final line (one within the line cap; a
+      // longer one is left to the guard in process_lines()).
+      const std::size_t tail = c.in_buf.size() - (c.in_buf.rfind('\n') + 1);
+      if (tail > 0 && tail <= kMaxLineBytes) c.in_buf += '\n';
+    }
     if (n == -2) c.dead = true;
     return;  // EOF, would-block, or error
   }
@@ -185,10 +233,11 @@ void SocketServer::handle_line(Conn& c, const std::string& line) {
                                      engine_.cancel(cmd.cancel_id));
         break;
       case CommandKind::Drain:
-        // In-order emission behind this connection's earlier slots IS the
-        // drain barrier: by the time this ack renders, every prior request
-        // on the connection has had its result line rendered first.
+        // In-order emission behind this stream's earlier slots makes the
+        // ack wait for every prior request; while it is the last slot,
+        // accepts_line() holds the stream's later lines back.
         slot.pre = render_drain_ack();
+        slot.drain = true;
         break;
       case CommandKind::Stats:
         slot.stats = true;  // snapshot taken when the slot is emitted
@@ -207,7 +256,7 @@ void SocketServer::handle_line(Conn& c, const std::string& line) {
 void SocketServer::process_lines(Conn& c) {
   if (c.discard_input) return;  // rejected-line mode: input is drained only
   std::size_t start = 0;
-  while (c.slots.size() < cfg_.max_pending_per_conn) {
+  while (accepts_line(c)) {
     const std::size_t nl = c.in_buf.find('\n', start);
     if (nl == std::string::npos) break;
     std::string line = c.in_buf.substr(start, nl - start);
@@ -217,24 +266,12 @@ void SocketServer::process_lines(Conn& c) {
     handle_line(c, line);
   }
   c.in_buf.erase(0, start);
-  // Peer EOF with an unterminated final line: answer it, matching `rsat
-  // batch` (whose getline yields a trailing line without '\n').
-  if (c.closed_read && !c.in_buf.empty() &&
-      c.in_buf.find('\n') == std::string::npos &&
-      c.in_buf.size() <= kMaxLineBytes &&
-      c.slots.size() < cfg_.max_pending_per_conn) {
-    std::string line = std::move(c.in_buf);
-    c.in_buf.clear();
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    ++c.lineno;
-    handle_line(c, line);
-  }
   // The slot cap bounds *answered* lines but not a line that never ends:
   // a peer streaming newline-free bytes would otherwise grow in_buf until
   // OOM. Past the cap, answer with an error and stop reading the
-  // connection (pending responses still flush). Only a genuinely
-  // unterminated line counts — bytes kept back by the slot cap still
-  // contain newlines and drain as responses flush.
+  // stream (pending responses still flush). Only a genuinely
+  // unterminated line counts — bytes kept back by the slot cap or a drain
+  // still contain newlines and drain as responses flush.
   if (c.in_buf.size() > kMaxLineBytes &&
       c.in_buf.find('\n') == std::string::npos) {
     ++c.lineno;
@@ -249,7 +286,7 @@ void SocketServer::process_lines(Conn& c) {
 }
 
 void SocketServer::pump_ready(Conn& c) {
-  while (!c.slots.empty()) {
+  while (!c.slots.empty() && c.out_buf.size() - c.out_off < kMaxUnsentBytes) {
     Slot& s = c.slots.front();
     // The stall clock measures how long the peer has left bytes untaken,
     // so it starts when the write buffer goes from empty to non-empty —
@@ -336,7 +373,7 @@ std::string SocketServer::render_slo_fields() const {
 void SocketServer::flush_conn(Conn& c) {
   while (!c.out_empty()) {
     const long n = support::send_some(
-        c.fd, std::string_view(c.out_buf).substr(c.out_off));
+        c.out_fd, std::string_view(c.out_buf).substr(c.out_off));
     if (n > 0) {
       c.out_off += static_cast<std::size_t>(n);
       bytes_out_.inc(static_cast<std::uint64_t>(n));
@@ -358,6 +395,13 @@ void SocketServer::flush_conn(Conn& c) {
 
 void SocketServer::run(const std::function<bool()>& should_stop) {
 #if RS_SERVE_POSIX
+  // The caller's fds go O_NONBLOCK for this run only. Every flag is saved
+  // before any is set: stdin and stdout may share one file description.
+  FlagRestore restore;
+  for (const int fd : borrowed_fds_) {
+    restore.saved.emplace_back(fd, ::fcntl(fd, F_GETFL, 0));
+  }
+  for (const int fd : borrowed_fds_) support::set_nonblocking(fd);
   bool draining = false;
   for (;;) {
     if (!draining &&
@@ -377,34 +421,42 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
     std::vector<pollfd> fds;
     std::vector<Conn*> polled;
     if (accept_backoff_ > 0) --accept_backoff_;
-    if (!draining && accept_backoff_ == 0) {
-      fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+    if (listener_ && !draining && accept_backoff_ == 0) {
+      fds.push_back(pollfd{listener_->fd(), POLLIN, 0});
       polled.push_back(nullptr);
     }
+    // Short timeout: the poll also doubles as the future-completion sweep,
+    // so a resolved solve waits at most ~20 ms before its line goes out.
+    // Zero when a stream already holds a line it may take (nothing new
+    // needs to arrive for the loop to make progress), 1 ms while its held
+    // lines wait on earlier answers (the slot cap or a drain; batch's stdin
+    // typically runs that far ahead of the solves).
+    int timeout_ms = 20;
     for (auto& cp : conns_) {
       Conn& c = *cp;
-      short events = 0;
-      if (!draining && !c.closed_read &&
-          (c.discard_input ||
-           c.slots.size() < cfg_.max_pending_per_conn)) {
-        events |= POLLIN;
+      const bool reading = !draining && !c.closed_read;
+      if (reading && (c.discard_input || accepts_line(c))) {
+        fds.push_back(pollfd{c.fd, POLLIN, 0});
+        polled.push_back(&c);
         c.read_paused = false;
-      } else if (!draining && !c.closed_read && !c.read_paused) {
-        // Slot cap reached: this connection leaves the POLLIN set until
+      } else if (reading && !c.read_paused &&
+                 c.slots.size() >= cfg_.max_pending_per_conn) {
+        // Slot cap reached: this stream leaves the POLLIN set until
         // responses flush. Count the edge, not the (per-iteration) state.
         c.read_paused = true;
         backpressure_stalls_.inc();
       }
-      if (!c.out_empty()) events |= POLLOUT;
-      if (events == 0) continue;
-      fds.push_back(pollfd{c.fd, events, 0});
-      polled.push_back(&c);
+      if (!c.out_empty()) {  // a second entry for the same socket is fine
+        fds.push_back(pollfd{c.out_fd, POLLOUT, 0});
+        polled.push_back(&c);
+      }
+      if (!draining && !c.discard_input && c.has_line()) {
+        timeout_ms = std::min(timeout_ms, accepts_line(c) ? 0 : 1);
+      }
     }
 
-    // Short timeout: the poll also doubles as the future-completion sweep,
-    // so a resolved solve waits at most ~20 ms before its line goes out.
     ::poll(fds.empty() ? nullptr : fds.data(),
-           static_cast<nfds_t>(fds.size()), 20);
+           static_cast<nfds_t>(fds.size()), timeout_ms);
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (polled[i] == nullptr) {
@@ -413,7 +465,10 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
       }
       Conn& c = *polled[i];
       if (fds[i].revents & (POLLERR | POLLNVAL)) c.dead = true;
-      if (!c.dead && (fds[i].revents & (POLLIN | POLLHUP))) read_conn(c);
+      if (!c.dead && fds[i].events == POLLIN &&
+          (fds[i].revents & (POLLIN | POLLHUP))) {
+        read_conn(c);
+      }
     }
 
     for (auto& cp : conns_) {
@@ -424,28 +479,30 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
       flush_conn(c);
     }
 
-    // Reap: dead sockets immediately; EOF'd connections once fully
-    // answered; during drain, connections whose queue has emptied — and
-    // peers that made no write progress for the whole grace period.
+    // Reap: dead streams immediately; EOF'd streams once every line they
+    // sent is answered (complete lines still in in_buf — held back by the
+    // slot cap or a drain — are not); during shutdown, streams whose queue
+    // has emptied — and peers that made no write progress for the whole
+    // grace period.
     std::erase_if(conns_, [&](const std::unique_ptr<Conn>& cp) {
       const Conn& c = *cp;
-      const bool answered = c.slots.empty() && c.out_empty();
+      const bool flushed = c.slots.empty() && c.out_empty();
       // Stalled = bytes are waiting and the peer has taken none for the
       // whole grace period. A connection still waiting on its own solves
       // (empty out_buf) is never "stalled" — its results are about to be
       // cancelled-and-flushed, and the clock resets when they queue.
       const bool stalled = draining && !c.out_empty() &&
                            c.last_progress.seconds() > kDrainGraceSeconds;
-      if (c.dead || (c.closed_read && answered) || (draining && answered) ||
-          stalled) {
-        support::close_fd(c.fd);
+      if (c.dead || (c.closed_read && flushed && !c.has_line()) ||
+          (draining && flushed) || stalled) {
+        if (listener_) support::close_fd(c.fd);
         open_conns_.sub(1);
         return true;
       }
       return false;
     });
 
-    if (draining && conns_.empty()) break;
+    if (conns_.empty() && (draining || !listener_)) break;
   }
   // All result lines are out (or their peers gone); let solver threads
   // finish their cancelled epilogues before the engine is reused/queried.
@@ -453,7 +510,7 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
   if (trace_sink_ != nullptr) trace_sink_->flush();
 #else
   static_cast<void>(should_stop);
-  RS_REQUIRE(false, "rsat serve requires POSIX sockets");
+  RS_REQUIRE(false, "the line-stream loop requires POSIX poll(2)");
 #endif
 }
 

@@ -1,39 +1,43 @@
-// SocketServer: a poll-based TCP front end streaming the service line
-// protocol (service/protocol.hpp) — the `rsat serve` subsystem.
+// SocketServer: the poll-based line-stream loop behind `rsat serve` (TCP
+// connections) and `rsat batch` (one stdin/stdout stream), speaking the
+// service line protocol (service/protocol.hpp).
 //
-// One network thread multiplexes the listener and every client connection
-// with poll(2); solves run on the shared AnalysisEngine thread pool, so a
-// slow peer never blocks compute and a long solve never blocks the
-// network. Per connection the server keeps an ordered queue of response
-// slots (a pre-rendered ack/error line, or the future of a submitted
-// request) and writes result lines back in request order as each future
-// resolves — an interactive client sees its result as soon as it is ready,
-// not at connection close.
+// One loop thread multiplexes the listener and every stream with poll(2);
+// solves run on the shared AnalysisEngine thread pool, so a slow peer never
+// blocks compute and a long solve never blocks the loop. Per stream the
+// server keeps an ordered queue of response slots (a pre-rendered
+// ack/error line, or the future of a submitted request) and writes result
+// lines back in request order as each future resolves — an interactive
+// client sees its result as soon as it is ready, not at end of input.
 //
-// Protocol semantics over TCP:
-//  * analyze/reduce lines submit to the engine exactly as `rsat batch`
-//    does; unset id= takes a server-wide sequence number (connections
-//    share one engine, one store, and one id namespace — an explicit
-//    cancel id= therefore reaches a matching request on any connection).
+// Protocol semantics (identical for every stream):
+//  * analyze/reduce lines submit to the engine; unset id= takes a
+//    server-wide sequence number (streams share one engine, one store,
+//    and one id namespace — an explicit cancel id= therefore reaches a
+//    matching request on any connection).
 //  * cancel answers immediately with its ack.
 //  * stats answers with a live telemetry line (render_stats_line); like
-//    every ack it is emitted in order behind this connection's earlier
-//    slots, so the snapshot reflects at least everything the connection
-//    already saw answered.
-//  * drain's ack is emitted in order *behind this connection's* earlier
-//    requests, so when the client reads "drained" everything it submitted
-//    before the drain has already been answered. Other connections are
-//    not stalled (unlike batch, which quiesces its single stream).
-//  * malformed lines answer with a status=error result line; the
-//    connection stays up.
-//  * backpressure: a connection with max_pending_per_conn unanswered
-//    requests stops being read until responses flush.
+//    every ack it is emitted in order behind this stream's earlier slots,
+//    so the snapshot reflects at least everything the stream already saw
+//    answered.
+//  * drain is a barrier on the issuing stream: no further line of it is
+//    read until the "drained" ack — emitted in order behind the stream's
+//    earlier requests — has gone out, so every request submitted before
+//    the drain has finished. Other streams are not stalled.
+//  * malformed lines answer with a status=error result line; the stream
+//    stays up.
+//  * backpressure: a stream with max_pending_per_conn unanswered requests
+//    stops being read until responses flush.
+//  * end of input: a stream whose peer closed its write side is closed
+//    once every complete line it sent has been answered and flushed.
 //
 // Shutdown (shutdown() from any thread, or the should_stop poll — wired
-// to SIGINT by rsat serve): stop accepting, cooperatively cancel every
-// in-flight solve, flush every pending result line (stop=cancelled), then
-// close all connections and return from run(). Peers that stop reading
-// are given kDrainGraceSeconds before their connection is dropped.
+// to SIGINT by rsat serve and rsat batch): stop accepting and reading,
+// cooperatively cancel every in-flight solve, flush every pending result
+// line (stop=cancelled), then close all connections and return from run().
+// Peers that stop reading are given kDrainGraceSeconds before their
+// connection is dropped. A stream server (no listener) also returns once
+// its one stream is answered to the end.
 #pragma once
 
 #include <atomic>
@@ -41,6 +45,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,7 +66,7 @@ struct ServeConfig {
   /// once the server is listening — scripts wait for this file instead of
   /// racing the log output.
   std::string port_file;
-  /// Unanswered-request cap per connection before reads pause.
+  /// Unanswered-request cap per stream before reads pause.
   std::size_t max_pending_per_conn = 256;
   /// When non-empty, enables engine trace spans and streams one JSONL
   /// event per request to this file (service/trace.hpp).
@@ -79,7 +84,7 @@ struct ServeConfig {
 /// registry AnalysisEngine::metrics() exposes, so the `stats` verb, the
 /// exit summary, and --metrics-json all read one source of truth).
 struct ServeStats {
-  std::uint64_t connections = 0;   // accepted over the server's lifetime
+  std::uint64_t connections = 0;   // streams opened over the server's lifetime
   std::uint64_t requests = 0;      // analyze/reduce submissions
   std::uint64_t parse_errors = 0;  // lines answered with status=error
   std::uint64_t responses = 0;     // result/ack lines written
@@ -87,7 +92,7 @@ struct ServeStats {
   std::uint64_t bytes_out = 0;     // payload bytes sent
   std::uint64_t backpressure_stalls = 0;  // read-pause edges (slot cap hit)
   std::uint64_t slow_requests = 0;  // responses over ServeConfig::slow_ms
-  std::int64_t open_conns = 0;      // currently connected peers
+  std::int64_t open_conns = 0;      // currently open streams
 };
 
 class SocketServer {
@@ -97,7 +102,7 @@ class SocketServer {
   static constexpr double kDrainGraceSeconds = 5.0;
 
   /// Longest accepted request line (inline ddg= payloads included). A
-  /// connection that exceeds it mid-line is answered with an error; its
+  /// stream that exceeds it mid-line is answered with an error; its
   /// remaining input is read and discarded (so the error line arrives
   /// over an orderly close instead of being lost to a RST) — otherwise a
   /// newline-free byte stream would grow the input buffer without bound.
@@ -107,17 +112,25 @@ class SocketServer {
   /// bind failure) and writes port_file if configured; run() starts
   /// serving.
   explicit SocketServer(const ServeConfig& cfg);
+  /// Serves one already-open stream — requests read from `in_fd`, lines
+  /// written to `out_fd` (the same fd for a socket) — with no listener;
+  /// host, port and port_file are ignored. The fds stay the caller's: they
+  /// are never closed here, and any O_NONBLOCK run() sets on them is
+  /// undone before run() returns.
+  SocketServer(const ServeConfig& cfg, int in_fd, int out_fd);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  int port() const { return listener_.port(); }
+  /// The bound port; 0 for a stream server.
+  int port() const { return listener_ ? listener_->port() : 0; }
   AnalysisEngine& engine() { return engine_; }
 
   /// Serves until shutdown() is called or `should_stop` (polled every
   /// loop iteration, ~20 ms) returns true, then performs the
-  /// cancel-drain-close sequence described above. Call from one thread.
+  /// cancel-drain-close sequence described above. A stream server also
+  /// returns once its stream is answered to the end. Call from one thread.
   void run(const std::function<bool()>& should_stop = {});
 
   /// Thread-safe: makes run() begin its drain-and-exit sequence.
@@ -132,7 +145,7 @@ class SocketServer {
   struct Conn;
 
   // Concurrency discipline: the server holds no mutex on purpose. All
-  // connection state (conns_, each Conn's buffers and slot queue, next_id_,
+  // stream state (conns_, each Conn's buffers and slot queue, next_id_,
   // accept_backoff_) is owned by the single thread inside run(); the only
   // cross-thread channels are stop_ (an atomic flag set by shutdown()),
   // the engine's futures (resolved on pool workers, only *read* here), and
@@ -140,7 +153,10 @@ class SocketServer {
   // means introducing support::Mutex + RSAT_GUARDED_BY here first — do not
   // reach for a bare std::mutex (lint rule `bare-mutex`).
 
+  void add_conn(int fd, int out_fd);
   void accept_new();
+  /// Below the slot cap and not held behind an unanswered drain.
+  bool accepts_line(const Conn& c) const;
   void read_conn(Conn& c);
   void process_lines(Conn& c);
   void handle_line(Conn& c, const std::string& line);
@@ -155,7 +171,9 @@ class SocketServer {
 
   ServeConfig cfg_;
   AnalysisEngine engine_;
-  support::ListenSocket listener_;
+  std::optional<support::ListenSocket> listener_;  // empty: stream server
+  /// The stream server's caller-owned fds (in, out); never closed here.
+  std::vector<int> borrowed_fds_;
   std::unique_ptr<TraceSink> trace_sink_;
   std::atomic<bool> stop_{false};
   std::uint64_t next_id_ = 1;

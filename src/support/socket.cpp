@@ -115,13 +115,14 @@ int connect_tcp(const std::string& host, int port) {
 }
 
 long send_some(int fd, std::string_view data) {
-  const ssize_t n = ::send(fd, data.data(), data.size(),
+  ssize_t n = ::send(fd, data.data(), data.size(),
 #ifdef MSG_NOSIGNAL
-                           MSG_NOSIGNAL
+                     MSG_NOSIGNAL
 #else
-                           0
+                     0
 #endif
   );
+  if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data.data(), data.size());
   if (n >= 0) return static_cast<long>(n);
   if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return -1;
   return -2;
@@ -147,7 +148,7 @@ bool send_all(int fd, std::string_view data) {
 
 long recv_some(int fd, std::string* out) {
   char buf[4096];
-  const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+  const ssize_t n = ::read(fd, buf, sizeof buf);
   if (n > 0) {
     out->append(buf, static_cast<std::size_t>(n));
     return static_cast<long>(n);

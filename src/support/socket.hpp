@@ -1,12 +1,15 @@
-// Minimal POSIX TCP helpers for the `rsat serve` front end and its tests:
-// a non-blocking listener with ephemeral-port support, a blocking client
-// connect (tests drive the server through it), and best-effort full writes.
+// Minimal POSIX fd helpers for the line-stream loop behind `rsat serve` and
+// `rsat batch` (service/serve.hpp) and its tests: a non-blocking listener
+// with ephemeral-port support, a blocking client connect (tests drive the
+// server through it), one-shot reads and writes for sockets and for plain
+// stream fds (pipes, files, terminals), and best-effort full writes.
 //
-// Everything here is deliberately poll-friendly: the listener and every
-// accepted connection are O_NONBLOCK, so the serve loop multiplexes all of
-// them plus a periodic future-completion sweep with a single poll(2) and
-// never blocks on a slow peer. Unsupported platforms fail loudly at
-// construction (RS_REQUIRE), not at first use.
+// Everything here is deliberately poll-friendly: the listener, every
+// accepted connection and, for the duration of one run, the caller's
+// stdin/stdout are O_NONBLOCK, so the loop multiplexes all of them plus a
+// periodic future-completion sweep with a single poll(2) and never blocks
+// on a slow peer. Unsupported platforms fail loudly at construction
+// (RS_REQUIRE), not at first use.
 #pragma once
 
 #include <string>
@@ -44,17 +47,20 @@ class ListenSocket {
 /// connected fd; throws support::PreconditionError on failure.
 int connect_tcp(const std::string& host, int port);
 
-/// One non-blocking send attempt (SIGPIPE suppressed where supported).
-/// Returns bytes written (>= 0), -1 when the fd's buffer is full (EAGAIN)
-/// or the call was interrupted, -2 on a connection error (e.g. EPIPE).
+/// One non-blocking send attempt (SIGPIPE suppressed where supported). An
+/// fd that is not a socket (pipe, file, terminal) gets a plain write(2)
+/// instead, where a vanished reader raises SIGPIPE like any write. Returns
+/// bytes written (>= 0), -1 when the fd's buffer is full (EAGAIN) or the
+/// call was interrupted, -2 on a connection error (e.g. EPIPE).
 long send_some(int fd, std::string_view data);
 
 /// Writes all of `data`, retrying short writes; waits (poll) when the fd's
 /// buffer is full. Returns false on a connection error (e.g. EPIPE).
 bool send_all(int fd, std::string_view data);
 
-/// Reads whatever is available into `out` (appends). Returns the byte
-/// count, 0 on orderly EOF, -1 when the read would block, -2 on error.
+/// Reads whatever is available into `out` (appends). Uses read(2), so any
+/// stream fd works, sockets included. Returns the byte count, 0 on orderly
+/// EOF, -1 when the read would block, -2 on error.
 long recv_some(int fd, std::string* out);
 
 /// Sets O_NONBLOCK; returns false on failure.

@@ -25,6 +25,7 @@ EXPECT = {
     "src/core/bad_metric_literal.cpp": {"metric-literal": 9},
     "src/service/bad_iostream.cpp": {"iostream": 1},
     "src/service/bad_suppression.cpp": {"bad-suppression": 2},
+    "tools/bad_tool_mutex.cpp": {"bare-mutex": 3},
 }
 CLEAN = [
     "src/service/suppressed_ok.cpp",

@@ -1,12 +1,15 @@
-// SocketServer: the line protocol over TCP — ordered responses, cancel and
-// drain acks, per-line error recovery, cross-connection cache sharing, and
-// the cancel-drain shutdown path.
+// SocketServer: the line protocol over TCP and over one pipe stream —
+// ordered responses, cancel and drain acks, per-line error recovery,
+// cross-connection cache sharing, end-of-input with lines held back by the
+// slot cap, and the cancel-drain shutdown path.
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -418,7 +421,7 @@ TEST(Serve, PortFileIsWrittenOnceListening) {
 
 TEST(Serve, UnterminatedFinalLineIsAnsweredAtEof) {
   // `printf 'analyze kernel=fir8' | nc host port` — no trailing newline.
-  // rsat batch answers such a line (getline semantics); serve must too.
+  // The loop answers such a line at EOF, for serve and batch alike.
   ServerFixture server;
   LineClient client(server->port());
   client.send("analyze kernel=fir8");
@@ -426,6 +429,82 @@ TEST(Serve, UnterminatedFinalLineIsAnsweredAtEof) {
   const auto fields = service::parse_fields(client.next_line());
   EXPECT_EQ(fields.at("status"), "ok");
   EXPECT_EQ(fields.at("name"), "fir8");
+}
+
+TEST(Serve, HalfCloseAnswersLinesHeldBackBySlotCap) {
+  // More lines than the slot cap, then EOF: the lines the cap held back in
+  // the input buffer must still be answered, in order, before the close.
+  ServeConfig cfg;
+  cfg.engine.threads = 2;
+  cfg.max_pending_per_conn = 4;
+  ServerFixture server(cfg);
+  LineClient client(server->port());
+  std::string lines;
+  for (int i = 0; i < 20; ++i) lines += "analyze kernel=lin-ddot engine=greedy\n";
+  client.send(lines);
+  client.close_write();
+  for (int i = 1; i <= 20; ++i) {
+    const auto fields = service::parse_fields(client.next_line());
+    ASSERT_EQ(fields.at("id"), std::to_string(i));
+    EXPECT_EQ(fields.at("status"), "ok");
+  }
+  EXPECT_EQ(client.next_line(0.5), "");
+}
+
+TEST(Serve, DrainHoldsBackLaterLinesOfItsStream) {
+  // The cancel after a drain is not read until the drain is answered, so
+  // it cannot reach the minreg ahead of the drain: that one runs into its
+  // budget, and the cancel finds nothing left to cancel.
+  ServeConfig cfg;
+  cfg.engine.threads = 2;
+  ServerFixture server(cfg);
+  LineClient client(server->port());
+  client.send("minreg kernel=fir8 budget=0.3 id=1\ndrain\ncancel 1\n");
+  const auto fields = service::parse_fields(client.next_line());
+  EXPECT_EQ(fields.at("id"), "1");
+  EXPECT_EQ(fields.at("stop"), "timeout");
+  EXPECT_EQ(client.next_line(), "drained");
+  EXPECT_EQ(client.next_line(), "cancelled id=1 found=0");
+}
+
+TEST(Serve, StreamServerAnswersAPipeAndRestoresFdFlags) {
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  // One fd blocking and one non-blocking beforehand: each gets its own
+  // state back.
+  ASSERT_TRUE(support::set_nonblocking(out[1]));
+  const int in_flags = ::fcntl(in[0], F_GETFL);
+  const int out_flags = ::fcntl(out[1], F_GETFL);
+  ASSERT_EQ(in_flags & O_NONBLOCK, 0);
+  ASSERT_NE(out_flags & O_NONBLOCK, 0);
+
+  ASSERT_TRUE(support::send_all(in[1], "analyze kernel=fir8\ndrain\n"));
+  support::close_fd(in[1]);
+  {
+    ServeConfig cfg;
+    cfg.engine.threads = 1;
+    SocketServer server(cfg, in[0], out[1]);
+    EXPECT_EQ(server.port(), 0);
+    server.run();  // returns at EOF once both lines are answered
+    EXPECT_EQ(server.serve_stats().connections, 1u);
+    EXPECT_EQ(server.serve_stats().responses, 2u);
+  }
+  EXPECT_EQ(::fcntl(in[0], F_GETFL), in_flags);
+  EXPECT_EQ(::fcntl(out[1], F_GETFL), out_flags);
+
+  support::close_fd(out[1]);  // the server left its fds open
+  std::string got;
+  while (support::recv_some(out[0], &got) > 0) {
+  }
+  const std::size_t nl = got.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  const auto fields = service::parse_fields(got.substr(0, nl));
+  EXPECT_EQ(fields.at("status"), "ok");
+  EXPECT_EQ(fields.at("name"), "fir8");
+  EXPECT_EQ(got.substr(nl + 1), "drained\n");
+  support::close_fd(in[0]);
+  support::close_fd(out[0]);
 }
 
 TEST(Serve, OversizedLineIsRejectedInsteadOfBufferedForever) {

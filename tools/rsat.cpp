@@ -20,18 +20,20 @@
 //       stream protocol requests (stdin or manifest file) through the
 //       cached concurrent analysis engine; result lines on stdout, a
 //       summary with hit rate (split by memory/disk tier) and latency
-//       percentiles on stderr. Understands cancel/drain/stats/metrics
-//       control verbs; Ctrl-C (SIGINT) stops reading, cancels in-flight
+//       percentiles on stderr. The stream runs through serve's own
+//       connection loop (service/serve.hpp), so batch and serve share the
+//       cancel/drain/stats/metrics control verbs, backpressure and the
+//       8 MiB line cap. Ctrl-C (SIGINT) stops reading, cancels in-flight
 //       solves cooperatively, prints every pending result plus the
 //       summary, and exits 0.
 //   rsat serve [--host H] [--port P] [--port-file F] [--threads N]
 //       [--cache-mb M] [--cache-dir D] [--trace-file F]
 //       [--metrics-json F] [--metrics-interval-s N] [--slow-ms T]
 //       [--slo-ms T] [--vliw]
-//       poll-based TCP front end speaking the same line protocol, one
-//       stream per connection (port 0 = ephemeral; the bound port goes to
-//       stderr and --port-file). SIGINT cancels in-flight solves, flushes
-//       every pending result line, then shuts down cleanly.
+//       the same loop over TCP, one stream per connection (port 0 =
+//       ephemeral; the bound port goes to stderr and --port-file). SIGINT
+//       cancels in-flight solves, flushes every pending result line, then
+//       shuts down cleanly.
 //   rsat top --port P [--host H] [--interval-s N] [--once]
 //       poll a running serve's `stats` verb and render a refreshing
 //       per-operation terminal table (requests, hit/miss split, p50, SLO
@@ -64,24 +66,17 @@
 //
 // The .ddg text format is documented in src/ddg/io.hpp; the batch request/
 // result protocol in src/service/protocol.hpp.
-#include <atomic>
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <fstream>
-#include <future>
-#include <iostream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "cfg/generators.hpp"
 #include "cfg/io.hpp"
@@ -118,6 +113,7 @@ int usage() {
         "  rsat dumpprog <program> [--vliw]\n"
         "  rsat batch [manifest] [--threads N] [--cache-mb M] [--cache-dir D]\n"
         "             [--trace-file F] [--metrics-json F] [--vliw]\n"
+        "             (stdin or the manifest, answered like one serve stream)\n"
         "  rsat serve [--host H] [--port P] [--port-file F] [--threads N]\n"
         "             [--cache-mb M] [--cache-dir D] [--trace-file F]\n"
         "             [--metrics-json F] [--metrics-interval-s N]\n"
@@ -178,10 +174,10 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 extern "C" void handle_sigint(int) { g_interrupted = 1; }
 
-/// Installs the SIGINT handler without SA_RESTART so a blocking stdin read
-/// returns (with EINTR) instead of resuming, letting the reader loop notice
-/// the interrupt and start the drain. SA_RESETHAND restores the default
-/// action after the first signal, so a second Ctrl-C always terminates.
+/// Installs the SIGINT handler that sets g_interrupted; the line-stream loop
+/// polls it at least every 20 ms, whichever thread took the signal.
+/// SA_RESETHAND restores the default action after the first signal, so a
+/// second Ctrl-C always terminates.
 void install_sigint_handler() {
 #if defined(__unix__) || defined(__APPLE__)
   struct sigaction sa = {};
@@ -194,26 +190,13 @@ void install_sigint_handler() {
 #endif
 }
 
-/// SIGINT is delivered to an arbitrary thread with it unblocked. The drain
-/// design needs it on the *main* thread (whose blocking stdin read must
-/// return EINTR), so SIGINT is masked around the creation of every helper
-/// thread — engine workers, printer, watcher all inherit the blocked mask —
-/// and unmasked in main afterwards.
-void mask_sigint(bool block) {
-#if defined(__unix__) || defined(__APPLE__)
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  pthread_sigmask(block ? SIG_BLOCK : SIG_UNBLOCK, &set, nullptr);
-#else
-  static_cast<void>(block);
-#endif
-}
-
-/// Shared by batch and serve: the hit-rate line split by store tier, plus
-/// the effective persistent-cache directory and its counters when enabled.
-void print_cache_summary(const rs::service::EngineStats& st,
-                         const std::string& cache_dir) {
+/// The summary tail batch and serve share after run(): the hit-rate line
+/// split by store tier (plus the persistent-cache directory and its
+/// counters when enabled), per-op rows, latency quantiles, the caller's
+/// wall-time line, and the trace sink's counts.
+void print_summary(rs::service::SocketServer& server,
+                   const std::string& cache_dir, const std::string& wall) {
+  const rs::service::EngineStats st = server.engine().stats();
   std::fprintf(stderr,
                "cache: %llu hits (%llu mem, %llu disk) + %llu coalesced / "
                "%llu lookups (%.1f%% hit rate), %zu entries, %zu bytes\n",
@@ -271,19 +254,60 @@ void print_cache_summary(const rs::service::EngineStats& st,
                  static_cast<unsigned long long>(op_misses),
                  static_cast<unsigned long long>(st.misses));
   }
+  std::fprintf(stderr,
+               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
+               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
+  std::fprintf(stderr, "wall: %s, %zu threads\n", wall.c_str(),
+               server.engine().thread_count());
+  if (const rs::service::TraceSink* sink = server.trace_sink()) {
+    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
+                 static_cast<unsigned long long>(sink->written()),
+                 sink->path().c_str(),
+                 static_cast<unsigned long long>(sink->dropped()));
+  }
 }
 
-/// --metrics-json: the whole registry (engine.*, op.*, store.*, pool.*, and
-/// serve.* when serving) as one JSON object, written atomically at exit.
+/// --metrics-json: the whole registry (engine.*, op.*, store.*, pool.*,
+/// serve.*, ...) as one JSON object, written atomically.
 void write_metrics_json(const rs::support::MetricsRegistry& metrics,
-                        const std::string& path) {
+                        const std::string& path, bool announce = true) {
   if (path.empty()) return;
   if (!rs::support::write_file_atomic(path, metrics.to_json() + "\n")) {
     std::fprintf(stderr, "warning: cannot write metrics json %s\n",
                  path.c_str());
     return;
   }
-  std::fprintf(stderr, "metrics json: %s\n", path.c_str());
+  if (announce) std::fprintf(stderr, "metrics json: %s\n", path.c_str());
+}
+
+/// The flags batch and serve share. Consumes argv[i] (and its value) and
+/// returns true when it is one of them.
+bool parse_engine_flag(int argc, char** argv, int& i,
+                       rs::service::ServeConfig& cfg,
+                       std::string& metrics_json) {
+  if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
+    const int threads = rs::support::parse_int(argv[++i], "--threads");
+    RS_REQUIRE(threads >= 0, "--threads must be >= 0");
+    cfg.engine.threads = static_cast<std::size_t>(threads);
+  } else if (!std::strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
+    const int mb = rs::support::parse_int(argv[++i], "--cache-mb");
+    RS_REQUIRE(mb >= 0, "--cache-mb must be >= 0");
+    cfg.engine.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
+  } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
+    cfg.engine.cache_dir = argv[++i];
+    RS_REQUIRE(!cfg.engine.cache_dir.empty(), "--cache-dir must not be empty");
+  } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
+    cfg.trace_file = argv[++i];
+    RS_REQUIRE(!cfg.trace_file.empty(), "--trace-file must not be empty");
+  } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
+    metrics_json = argv[++i];
+    RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
+  } else if (!std::strcmp(argv[i], "--vliw")) {
+    cfg.protocol.default_model = rs::ddg::vliw_model();
+  } else {
+    return false;
+  }
+  return true;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -300,24 +324,6 @@ int cmd_serve(int argc, char** argv) {
                    "--port must be in [0, 65535]");
       } else if (!std::strcmp(argv[i], "--port-file") && i + 1 < argc) {
         cfg.port_file = argv[++i];
-      } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-        const int threads = rs::support::parse_int(argv[++i], "--threads");
-        RS_REQUIRE(threads >= 0, "--threads must be >= 0");
-        cfg.engine.threads = static_cast<std::size_t>(threads);
-      } else if (!std::strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-        const int mb = rs::support::parse_int(argv[++i], "--cache-mb");
-        RS_REQUIRE(mb >= 0, "--cache-mb must be >= 0");
-        cfg.engine.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
-      } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
-        cfg.engine.cache_dir = argv[++i];
-        RS_REQUIRE(!cfg.engine.cache_dir.empty(),
-                   "--cache-dir must not be empty");
-      } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
-        cfg.trace_file = argv[++i];
-        RS_REQUIRE(!cfg.trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
-        metrics_json = argv[++i];
-        RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
       } else if (!std::strcmp(argv[i], "--metrics-interval-s") &&
                  i + 1 < argc) {
         metrics_interval_s = rs::support::parse_budget_seconds(
@@ -329,9 +335,7 @@ int cmd_serve(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--slo-ms") && i + 1 < argc) {
         cfg.slo_ms = rs::support::parse_budget_seconds(argv[++i], "--slo-ms");
         RS_REQUIRE(cfg.slo_ms > 0, "--slo-ms must be > 0");
-      } else if (!std::strcmp(argv[i], "--vliw")) {
-        cfg.protocol.default_model = rs::ddg::vliw_model();
-      } else {
+      } else if (!parse_engine_flag(argc, argv, i, cfg, metrics_json)) {
         RS_REQUIRE(false, std::string("unknown serve flag ") + argv[i]);
       }
     }
@@ -349,33 +353,7 @@ int cmd_serve(int argc, char** argv) {
   // server with SIGPIPE on the write-back.
   std::signal(SIGPIPE, SIG_IGN);
 #endif
-  mask_sigint(true);  // engine workers spawn inside SocketServer
   rs::service::SocketServer server(cfg);
-
-  // --metrics-interval-s: periodic atomic re-snapshot of --metrics-json
-  // (write_file_atomic = temp + rename), so a crashed or SIGKILLed serve
-  // leaves a recent metrics file on disk instead of nothing. Spawned while
-  // SIGINT is still masked so only the main thread sees the interrupt.
-  std::atomic<bool> snapshot_stop{false};
-  std::thread snapshot_thread;
-  if (metrics_interval_s > 0) {
-    snapshot_thread = std::thread([&server, &snapshot_stop, &metrics_json,
-                                   metrics_interval_s] {
-      double since_write_s = 0;
-      while (!snapshot_stop.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        since_write_s += 0.1;
-        if (since_write_s + 1e-9 < metrics_interval_s) continue;
-        since_write_s = 0;
-        if (!rs::support::write_file_atomic(
-                metrics_json, server.engine().metrics().to_json() + "\n")) {
-          std::fprintf(stderr, "warning: cannot write metrics json %s\n",
-                       metrics_json.c_str());
-        }
-      }
-    });
-  }
-  mask_sigint(false);
 
   std::fprintf(stderr, "serve: listening on %s:%d\n", cfg.host.c_str(),
                server.port());
@@ -385,12 +363,21 @@ int cmd_serve(int argc, char** argv) {
   std::fflush(stderr);
 
   const rs::support::Timer wall;
-  server.run([] { return g_interrupted != 0; });
-  snapshot_stop.store(true);
-  if (snapshot_thread.joinable()) snapshot_thread.join();
+  // --metrics-interval-s: the loop's stop poll (every <= 20 ms) also
+  // re-snapshots --metrics-json atomically (temp + rename), so a crashed
+  // or SIGKILLed serve leaves a recent metrics file on disk.
+  rs::support::Timer since_snapshot;
+  server.run([&] {
+    if (metrics_interval_s > 0 &&
+        since_snapshot.seconds() >= metrics_interval_s) {
+      since_snapshot.reset();
+      write_metrics_json(server.engine().metrics(), metrics_json,
+                         /*announce=*/false);
+    }
+    return g_interrupted != 0;
+  });
 
   const rs::service::ServeStats ss = server.serve_stats();
-  const rs::service::EngineStats st = server.engine().stats();
   std::fprintf(stderr,
                "serve: %llu connections, %llu requests, %llu responses "
                "(%llu parse errors)%s\n",
@@ -399,50 +386,21 @@ int cmd_serve(int argc, char** argv) {
                static_cast<unsigned long long>(ss.responses),
                static_cast<unsigned long long>(ss.parse_errors),
                g_interrupted ? " [interrupted, drained]" : "");
-  print_cache_summary(st, cfg.engine.cache_dir);
-  std::fprintf(stderr,
-               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
-  std::fprintf(stderr, "wall: %.3f s, %zu threads\n", wall.seconds(),
-               server.engine().thread_count());
-  if (const rs::service::TraceSink* sink = server.trace_sink()) {
-    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(sink->written()),
-                 sink->path().c_str(),
-                 static_cast<unsigned long long>(sink->dropped()));
-  }
+  char wall_line[64];
+  std::snprintf(wall_line, sizeof wall_line, "%.3f s", wall.seconds());
+  print_summary(server, cfg.engine.cache_dir, wall_line);
   write_metrics_json(server.engine().metrics(), metrics_json);
   return 0;
 }
 
 int cmd_batch(int argc, char** argv) {
   std::string manifest_path;
-  std::string trace_file;
   std::string metrics_json;
-  rs::service::EngineConfig cfg;
-  rs::service::ProtocolOptions popts;
+  rs::service::ServeConfig cfg;
   try {
     for (int i = 2; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-        const int threads = rs::support::parse_int(argv[++i], "--threads");
-        RS_REQUIRE(threads >= 0, "--threads must be >= 0");
-        cfg.threads = static_cast<std::size_t>(threads);
-      } else if (!std::strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-        const int mb = rs::support::parse_int(argv[++i], "--cache-mb");
-        RS_REQUIRE(mb >= 0, "--cache-mb must be >= 0");
-        cfg.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
-      } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
-        cfg.cache_dir = argv[++i];
-        RS_REQUIRE(!cfg.cache_dir.empty(), "--cache-dir must not be empty");
-      } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
-        trace_file = argv[++i];
-        RS_REQUIRE(!trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
-        metrics_json = argv[++i];
-        RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
-      } else if (!std::strcmp(argv[i], "--vliw")) {
-        popts.default_model = rs::ddg::vliw_model();
-      } else if (argv[i][0] == '-') {
+      if (parse_engine_flag(argc, argv, i, cfg, metrics_json)) continue;
+      if (argv[i][0] == '-') {
         RS_REQUIRE(false, std::string("unknown batch flag ") + argv[i]);
       } else if (manifest_path.empty()) {
         manifest_path = argv[i];
@@ -455,226 +413,50 @@ int cmd_batch(int argc, char** argv) {
     return usage();
   }
 
-  std::ifstream manifest;
+  int in_fd = STDIN_FILENO;
   if (!manifest_path.empty()) {
-    manifest.open(manifest_path);
-    if (!manifest.good()) {
+    in_fd = ::open(manifest_path.c_str(), O_RDONLY);
+    if (in_fd < 0) {
       std::fprintf(stderr, "error: cannot open %s\n", manifest_path.c_str());
       return 2;
     }
   }
-  std::istream& in = manifest_path.empty() ? std::cin : manifest;
 
   install_sigint_handler();
-  mask_sigint(true);  // unmasked again after every helper thread exists
-
-  // Tracing asks the engine to carry a span on every Response; the printer
-  // (which renders the result line, the last phase of a request's life)
-  // stamps encode_ms/bytes and hands the span to the sink.
-  cfg.trace = !trace_file.empty();
-  std::unique_ptr<rs::service::TraceSink> trace_sink;
-  if (cfg.trace) {
-    rs::service::TraceSink::Config tc;
-    tc.path = trace_file;
-    trace_sink = std::make_unique<rs::service::TraceSink>(tc);
-  }
-
-  rs::service::AnalysisEngine engine(cfg);
+  // The stream runs through serve's own loop, so batch and serve share
+  // ordering, backpressure, the line cap, drain and the SIGINT drain.
+  rs::service::SocketServer server(cfg, in_fd, STDOUT_FILENO);
   const rs::support::Timer wall;
+  server.run([] { return g_interrupted != 0; });
+  if (in_fd != STDIN_FILENO) rs::support::close_fd(in_fd);
 
-  // The reader loop only observes g_interrupted between lines, so a SIGINT
-  // arriving after EOF (manifest fully read, solves still running, main
-  // thread blocked in printer.join()) would otherwise be swallowed. This
-  // watcher turns the flag into engine.cancel_all() no matter which phase
-  // the batch is in; every future then resolves promptly and the normal
-  // drain/summary path runs.
-  std::atomic<bool> watcher_done{false};
-  std::thread sigint_watcher([&] {
-    while (!watcher_done.load()) {
-      if (g_interrupted) {
-        engine.cancel_all();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  });
-
-  // One slot per request line: either a pre-rendered line (parse error or a
-  // cancel/drain ack) or a pending response. A dedicated printer thread
-  // emits result lines in request order as soon as each future resolves, so
-  // a co-process driving stdin interactively sees its result without
-  // waiting for EOF.
-  struct Slot {
-    std::string pre;
-    bool stats = false;    // render a fresh stats snapshot at emission time
-    bool metrics = false;  // render the Prometheus exposition at emission
-    std::future<rs::service::Response> fut;
-  };
-  // Backpressure: each outstanding slot holds a parsed Request (with its
-  // DDG) until printed, so cap how far the reader runs ahead of execution.
-  constexpr std::size_t kMaxPending = 256;
-  std::deque<Slot> pending;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool submitted_all = false;
-  // Printer-owned tallies. Cancelled/timed-out responses count as ok (they
-  // carry valid witnessed bounds) and are additionally tallied by cause.
-  // Parse errors are reader-owned (parse_errors) and merged after join.
-  std::uint64_t total = 0, ok = 0, failed = 0, parse_errors = 0;
-  std::uint64_t cancelled = 0, timed_out = 0;
-
-  std::thread printer([&] {
-    for (;;) {
-      Slot slot;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !pending.empty() || submitted_all; });
-        if (pending.empty()) return;
-        slot = std::move(pending.front());
-        pending.pop_front();
-        cv.notify_all();  // wake the reader if it hit the pending cap
-      }
-      if (slot.stats) {
-        // Rendered here, not at parse time: emission order means every
-        // request ahead of this line in the stream has already been printed,
-        // so the snapshot reflects at least all of them as completed.
-        std::puts(rs::service::render_stats_line(engine.stats()).c_str());
-      } else if (slot.metrics) {
-        // Multi-line body, framed by its terminating "# EOF" line.
-        std::fputs(engine.metrics().to_prometheus().c_str(), stdout);
-      } else if (!slot.pre.empty()) {
-        std::puts(slot.pre.c_str());
-      } else {
-        const rs::service::Response resp = slot.fut.get();
-        (resp.payload->ok ? ok : failed)++;
-        if (resp.payload->ok) {
-          switch (resp.payload->stats.stop) {
-            case rs::support::StopCause::Cancelled: ++cancelled; break;
-            case rs::support::StopCause::TimedOut: ++timed_out; break;
-            default: break;
-          }
-        }
-        const rs::support::Timer encode;
-        const std::string out_line = rs::service::render_response(resp);
-        if (trace_sink != nullptr && resp.trace != nullptr) {
-          resp.trace->encode_ms = encode.millis();
-          resp.trace->bytes = out_line.size() + 1;  // + '\n'
-          trace_sink->write(*resp.trace);
-        }
-        std::puts(out_line.c_str());
-      }
-      std::fflush(stdout);
-    }
-  });
-
-  mask_sigint(false);  // all helper threads spawned; deliver to main only
-
-  auto push_slot = [&](Slot slot) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return pending.size() < kMaxPending; });
-      pending.push_back(std::move(slot));
-    }
-    cv.notify_all();
-  };
-
-  std::string line;
-  int lineno = 0;
-  std::uint64_t next_id = 1;
-  while (!g_interrupted && std::getline(in, line)) {
-    ++lineno;
-    if (rs::service::is_blank_or_comment(line)) continue;
-    Slot slot;
-    bool counts = true;  // control-verb acks are not requests
-    try {
-      const rs::support::Timer parse;
-      rs::service::Command cmd =
-          rs::service::parse_command_line(line, next_id, popts);
-      switch (cmd.kind) {
-        case rs::service::CommandKind::Submit:
-          ++next_id;
-          cmd.request.parse_ms = parse.millis();
-          slot.fut = engine.submit(std::move(cmd.request));
-          break;
-        case rs::service::CommandKind::Cancel:
-          slot.pre = rs::service::render_cancel_ack(
-              cmd.cancel_id, engine.cancel(cmd.cancel_id));
-          counts = false;
-          break;
-        case rs::service::CommandKind::Drain:
-          // Block further reading until everything submitted so far has
-          // completed; the printer drains concurrently.
-          engine.wait_idle();
-          slot.pre = rs::service::render_drain_ack();
-          counts = false;
-          break;
-        case rs::service::CommandKind::Stats:
-          slot.stats = true;  // printer snapshots the registry at emission
-          counts = false;
-          break;
-        case rs::service::CommandKind::Metrics:
-          slot.metrics = true;  // printer renders the exposition at emission
-          counts = false;
-          break;
-      }
-    } catch (const std::exception& e) {
-      std::ostringstream os;
-      os << "result id=" << next_id++ << " status=error name=line" << lineno
-         << " msg=" << rs::service::escape_field(e.what());
-      slot.pre = os.str();
-      ++parse_errors;  // printer never inspects pre-rendered slots
-    }
-    if (counts) ++total;
-    push_slot(std::move(slot));
-  }
-  if (g_interrupted) {
-    // Drain-then-summarize: cancel every in-flight solve cooperatively and
-    // wait. Each one still resolves its future (stop=cancelled), so every
-    // already-submitted request gets its result line before the summary.
-    // (Idempotent with the watcher's cancel_all for post-EOF interrupts.)
-    engine.cancel_all();
-    engine.wait_idle();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    submitted_all = true;
-  }
-  cv.notify_all();
-  printer.join();
-  watcher_done.store(true);
-  sigint_watcher.join();
-  failed += parse_errors;
-  if (trace_sink != nullptr) trace_sink->flush();
-
+  // Control-verb acks are not requests; parse errors are (and failed).
+  // Cancelled and timed-out responses count as ok (they carry valid
+  // witnessed bounds) and are tallied by cause too.
+  const rs::service::ServeStats ss = server.serve_stats();
+  const rs::service::EngineStats st = server.engine().stats();
+  const std::uint64_t total = ss.requests + ss.parse_errors;
+  const std::uint64_t failed = st.errors + ss.parse_errors;
   if (total == 0) {
     std::fprintf(stderr, "batch: 0 requests\n");
-    write_metrics_json(engine.metrics(), metrics_json);
+    write_metrics_json(server.engine().metrics(), metrics_json);
     return 0;
   }
   const double wall_s = wall.seconds();
-  const rs::service::EngineStats st = engine.stats();
   std::fprintf(stderr,
                "batch: %llu requests, %llu ok, %llu error "
                "(%llu cancelled, %llu timed out)%s\n",
                static_cast<unsigned long long>(total),
-               static_cast<unsigned long long>(ok),
+               static_cast<unsigned long long>(total - failed),
                static_cast<unsigned long long>(failed),
-               static_cast<unsigned long long>(cancelled),
-               static_cast<unsigned long long>(timed_out),
+               static_cast<unsigned long long>(st.cancelled),
+               static_cast<unsigned long long>(st.timed_out),
                g_interrupted ? " [interrupted, drained]" : "");
-  print_cache_summary(st, cfg.cache_dir);
-  std::fprintf(stderr,
-               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
-  std::fprintf(stderr, "wall: %.3f s (%.1f req/s), %zu threads\n", wall_s,
-               static_cast<double>(total) / wall_s, engine.thread_count());
-  if (trace_sink != nullptr) {
-    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(trace_sink->written()),
-                 trace_sink->path().c_str(),
-                 static_cast<unsigned long long>(trace_sink->dropped()));
-  }
-  write_metrics_json(engine.metrics(), metrics_json);
+  char wall_line[64];
+  std::snprintf(wall_line, sizeof wall_line, "%.3f s (%.1f req/s)", wall_s,
+                static_cast<double>(total) / wall_s);
+  print_summary(server, cfg.engine.cache_dir, wall_line);
+  write_metrics_json(server.engine().metrics(), metrics_json);
   if (g_interrupted) return 0;  // drained cleanly after Ctrl-C
   return failed == 0 ? 0 : 1;
 }

@@ -18,7 +18,8 @@ repo's determinism and observability contracts — hold by construction:
                   headers) are allowed only in src/support/mutex.hpp.
                   A bare std::mutex is invisible to -Wthread-safety; the
                   annotated support::Mutex / LockGuard / UniqueLock /
-                  CondVar wrappers are the only lock vocabulary in src/.
+                  CondVar wrappers are the only lock vocabulary in src/
+                  and in the tools/*.cpp front ends.
 
   unseeded-rng    rand()/srand()/std::random_device/std::mt19937 are
                   allowed only in src/support/random.*. Results in this
@@ -39,7 +40,9 @@ repo's determinism and observability contracts — hold by construction:
                   and trace events; only the CLI (tools/rsat.cpp) talks
                   to std streams.
 
-Scope: every .hpp/.cpp under <root>/src. Comments are stripped before
+Scope: every .hpp/.cpp under <root>/src, plus <root>/tools/*.cpp for the
+TOOL_RULES below (front ends talk to std streams and may spell metric
+names, so only the lock rule reaches them). Comments are stripped before
 matching, and string/char literal contents are blanked for all rules
 except metric-literal (which matches inside string literals on purpose).
 
@@ -58,6 +61,9 @@ import sys
 
 RULES = ("raw-clock", "bare-mutex", "unseeded-rng", "metric-literal",
          "iostream")
+
+# The rules that also cover tools/*.cpp.
+TOOL_RULES = ("bare-mutex",)
 
 # rule -> repo-relative paths (or directory prefixes ending in /) exempt
 # from it. These are the designated homes of each capability, not a
@@ -232,6 +238,7 @@ def lint_file(root, relpath):
     code_lines = code.splitlines()
 
     findings = []
+    in_tools = relpath.startswith("tools/")
 
     def report(rule, lineno, message):
         for at in (lineno, lineno - 1):
@@ -246,13 +253,13 @@ def lint_file(root, relpath):
         findings.append((relpath, lineno, rule, message))
 
     for rule, pattern in CODE_PATTERNS.items():
-        if exempt(rule, relpath):
+        if exempt(rule, relpath) or (in_tools and rule not in TOOL_RULES):
             continue
         for lineno, linetext in enumerate(code_lines, start=1):
             if pattern.search(linetext):
                 report(rule, lineno, MESSAGES[rule])
 
-    for lineno, content in strings:
+    for lineno, content in [] if in_tools else strings:
         # File names ("store.cpp") fit the metric-name shape; skip them.
         if METRIC_RE.match(content) and \
                 not content.endswith((".cpp", ".hpp", ".h", ".cc", ".py")):
@@ -287,6 +294,11 @@ def target_files(root, paths):
         for name in sorted(names):
             if name.endswith((".hpp", ".cpp", ".h", ".cc")):
                 yield os.path.relpath(os.path.join(dirpath, name), root)
+    tools = os.path.join(root, "tools")
+    if os.path.isdir(tools):
+        for name in sorted(os.listdir(tools)):
+            if name.endswith(".cpp"):
+                yield os.path.join("tools", name)
 
 
 def main(argv):
@@ -298,7 +310,7 @@ def main(argv):
                     help="repo root (default: parent of this script's dir)")
     ap.add_argument("paths", nargs="*",
                     help="files to lint, relative to --root "
-                         "(default: all of src/)")
+                         "(default: all of src/ and tools/*.cpp)")
     args = ap.parse_args(argv)
 
     root = args.root or os.path.dirname(
