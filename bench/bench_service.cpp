@@ -105,7 +105,7 @@ void BM_BatchWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchWarm)->Unit(benchmark::kMillisecond);
 
-// The disk-tier scenario of the tiered ResultStore, measured as an
+// The disk-tier scenario of the tiered result store, measured as an
 // apples-to-apples pair: each iteration is a process-restart analogue — a
 // brand-new engine over the deduplicated corpus, driven synchronously
 // (engine.run, no pool noise) — where BM_CorpusRecompute solves every
@@ -145,7 +145,7 @@ void BM_CorpusDiskRestart(benchmark::State& state) {
     for (const Request& req : batch) {
       benchmark::DoNotOptimize(engine.run(req).payload->ok);
     }
-    disk_hits += engine.stats().disk_hits;
+    disk_hits += engine.metrics().counters().at("engine.disk_hits");
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch.size()));
@@ -343,14 +343,17 @@ int run_curated_json(const std::string& out_path) {
   for (int r = 0; r < kRounds; ++r) {
     AnalysisEngine engine(EngineConfig{});
     run_batch_timed(engine, corpus, &cold_ms, nullptr);
-    const std::uint64_t before = engine.stats().completed;
+    const std::uint64_t before =
+        engine.metrics().counters().at("engine.completed");
     for (int w = 0; w < 2; ++w) run_batch_timed(engine, corpus, &warm_ms,
                                                 nullptr);
-    const rs::service::EngineStats st = engine.stats();
+    const rs::service::CounterSnapshot c = engine.metrics().counters();
     // Hit rate of the warm replays alone (the cold pass already took its
     // misses): hits gained / requests replayed.
-    warm_hit_rate += static_cast<double>(st.cache_hits + st.coalesced) /
-                     static_cast<double>(st.completed - before);
+    warm_hit_rate += static_cast<double>(c.at("engine.memory_hits") +
+                                         c.at("engine.disk_hits") +
+                                         c.at("engine.coalesced")) /
+                     static_cast<double>(c.at("engine.completed") - before);
   }
   warm_hit_rate /= kRounds;
 
@@ -374,9 +377,9 @@ int run_curated_json(const std::string& out_path) {
       cfg.cache_dir = dir;
       AnalysisEngine engine(cfg);
       run_batch_timed(engine, corpus, &disk_ms, nullptr);
-      const rs::service::EngineStats st = engine.stats();
-      disk_hit_ratio += static_cast<double>(st.disk_hits) /
-                        static_cast<double>(st.completed);
+      const rs::service::CounterSnapshot c = engine.metrics().counters();
+      disk_hit_ratio += static_cast<double>(c.at("engine.disk_hits")) /
+                        static_cast<double>(c.at("engine.completed"));
     }
     AnalysisEngine engine(EngineConfig{});
     run_batch_timed(engine, corpus, &recompute_ms, nullptr);

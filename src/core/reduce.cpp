@@ -114,7 +114,10 @@ ReduceResult reduce_optimal(const TypeContext& ctx, int R,
   SrcOptions src = opts.src;
   const ArcLatencyMode mode = opts.arc_mode;
   // Paper (end of section 4): reject schedules whose extension would lose
-  // the DAG property (only reachable with visible write offsets).
+  // the DAG property. Zero write offsets do not prevent it: when two ops
+  // issue in the same cycle and both read a value that dies there, their
+  // reader->def arcs form a zero-latency 2-cycle (rr0 <-> ri0 in
+  // perfbench/kernels/complex-mul2.ddg, where every dr/dw is 0).
   src.leaf_filter = [&ctx, mode](const sched::Schedule& s) {
     return extend_by_schedule(ctx, s, mode).is_dag;
   };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <sstream>
 
 #include "cfg/canon.hpp"
 #include "cfg/cfg.hpp"
@@ -333,7 +335,7 @@ Response AnalysisEngine::process(Request req, support::Timer started,
           payload = std::move(aborted);
           // A detached waiter still *was* coalesced onto the in-flight
           // solve — count it there too, so the hit/coalesce/miss buckets
-          // tile completed responses (EngineStats::counters_tile). The
+          // tile completed responses (service::counters_tile). The
           // response itself stays cache_hit == false: nothing was served
           // from a cache.
           cancelled_.inc();
@@ -394,7 +396,7 @@ Response AnalysisEngine::process(Request req, support::Timer started,
     // A failure before any bucket was counted (bad operation, fingerprint
     // or option error) is still a completed response that computed nothing
     // from a cache: count it as a miss so the buckets keep tiling
-    // `completed` (EngineStats::counters_tile).
+    // `completed` (service::counters_tile).
     if (!counted_hit && !counted_miss) {
       misses_.inc();
       counted_miss = true;
@@ -487,41 +489,90 @@ void AnalysisEngine::record_op(const Operation* op, const Response& resp,
   m.ms->observe(resp.millis);
 }
 
-EngineStats AnalysisEngine::stats() const {
-  EngineStats out;
-  out.submitted = submitted_.value();
-  out.completed = completed_.value();
-  out.errors = errors_.value();
-  out.memory_hits = memory_hits_.value();
-  out.disk_hits = disk_hits_.value();
-  out.cache_hits = out.memory_hits + out.disk_hits;
-  out.coalesced = coalesced_.value();
-  out.misses = misses_.value();
-  out.cancelled = cancelled_.value();
-  out.timed_out = timed_out_.value();
-  out.queue_depth =
-      static_cast<std::size_t>(out.submitted - std::min(out.submitted, out.completed));
-  const StoreStats cs = store_.stats();
-  out.cache_entries = cs.entries;
-  out.cache_bytes = cs.bytes;
-  out.disk_enabled = store_.has_disk();
-  out.disk = store_.disk_stats();
-  out.p50_ms = latency_ms_.quantile(0.50);
-  out.p95_ms = latency_ms_.quantile(0.95);
-  out.p99_ms = latency_ms_.quantile(0.99);
-  out.max_ms = latency_ms_.max();
-  {
-    support::LockGuard lock(op_mu_);
-    for (const auto& [op, m] : per_op_) {
-      OpStats slice;
-      slice.submitted = m.submitted->value();
-      slice.hits = m.hits->value();
-      slice.misses = m.misses->value();
-      slice.p50_ms = m.ms->quantile(0.50);
-      out.per_op.emplace(std::string(op->name()), slice);
+std::vector<std::string> counted_ops(const CounterSnapshot& counters) {
+  static const std::string prefix = "op.";
+  static const std::string suffix = ".submitted";
+  std::vector<std::string> names;
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.starts_with(prefix); ++it) {
+    const std::string& key = it->first;
+    if (key.size() > prefix.size() + suffix.size() && key.ends_with(suffix)) {
+      names.push_back(key.substr(
+          prefix.size(), key.size() - prefix.size() - suffix.size()));
     }
   }
-  return out;
+  // Key order is not name order once a name contains a byte below '.'.
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+namespace {
+
+std::uint64_t count_of(const CounterSnapshot& counters,
+                       const std::string& name) {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+}  // namespace
+
+bool counters_tile(const CounterSnapshot& counters) {
+  return count_of(counters, "engine.memory_hits") +
+             count_of(counters, "engine.disk_hits") +
+             count_of(counters, "engine.coalesced") +
+             count_of(counters, "engine.misses") ==
+         count_of(counters, "engine.completed");
+}
+
+std::string AnalysisEngine::stats_line() const {
+  // Deterministic key order (see the protocol header's spec row): the key
+  // schema of two snapshots from the same operation mix is identical, only
+  // values differ — consumers can diff schemas across cold/warm runs.
+  const CounterSnapshot c = metrics_.counters();
+  const auto h = metrics_.histograms();
+  const auto n = [&](const std::string& name) { return count_of(c, name); };
+  const auto f = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3f", v);
+    return std::string(buf);
+  };
+  const std::uint64_t submitted = n("engine.submitted");
+  const std::uint64_t completed = n("engine.completed");
+  const std::uint64_t served =
+      n("engine.memory_hits") + n("engine.disk_hits") + n("engine.coalesced");
+  const std::uint64_t lookups = served + n("engine.misses");
+  const ResidentSize resident = store_.resident();
+  const support::MetricsRegistry::HistogramView& latency =
+      h.at("engine.latency_ms");
+  const std::vector<std::string> ops = counted_ops(c);
+  std::ostringstream os;
+  os << "stats submitted=" << submitted << " completed=" << completed
+     << " errors=" << n("engine.errors")
+     << " memory_hits=" << n("engine.memory_hits")
+     << " disk_hits=" << n("engine.disk_hits")
+     << " coalesced=" << n("engine.coalesced")
+     << " misses=" << n("engine.misses")
+     << " cancelled=" << n("engine.cancelled")
+     << " timed_out=" << n("engine.timed_out")
+     << " queue_depth=" << submitted - std::min(submitted, completed)
+     << " hit_rate="
+     << f(lookups == 0 ? 0.0 : static_cast<double>(served) / lookups)
+     << " entries=" << resident.entries << " bytes=" << resident.bytes
+     << " disk=" << (store_.has_disk() ? 1 : 0)
+     << " p50_ms=" << f(latency.p50) << " p95_ms=" << f(latency.p95)
+     << " p99_ms=" << f(latency.p99) << " max_ms=" << f(latency.max)
+     << " ops=" << ops.size();
+  for (const std::string& name : ops) {
+    // An op's metrics register one by one on its first response, so a
+    // concurrent snapshot may hold its counters but not yet its histogram.
+    const std::string op = "op." + name + ".";
+    const auto ms = h.find(op + "ms");
+    os << ' ' << op << "submitted=" << n(op + "submitted") << ' ' << op
+       << "hits=" << n(op + "hits") << ' ' << op << "misses="
+       << n(op + "misses") << ' ' << op << "p50_ms="
+       << f(ms == h.end() ? 0.0 : ms->second.p50);
+  }
+  return os.str();
 }
 
 }  // namespace rs::service

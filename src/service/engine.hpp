@@ -177,61 +177,24 @@ struct EngineConfig {
 /// Wall-clock cap applied to requests that carry no budget_seconds.
 inline constexpr double kDefaultBudgetSeconds = 30.0;
 
-/// Per-operation slice of the engine counters (EngineStats::per_op, keyed
-/// by Operation::name). hits counts responses served without computing
-/// (store tiers + coalesced) and misses counts computed solves (error
-/// payloads included) — exactly the events the aggregate cache_hits/
-/// coalesced/misses count, so the per-op slices tile them. p50 is over
-/// this operation's completed responses, hits included.
-struct OpStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  double p50_ms = 0;
-};
+/// A registry counter snapshot (support::MetricsRegistry::counters()).
+using CounterSnapshot = std::map<std::string, std::uint64_t>;
 
-struct EngineStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;   // served from any store tier (mem + disk)
-  std::uint64_t memory_hits = 0;  // ... from the in-memory LRU
-  std::uint64_t disk_hits = 0;    // ... from the persistent tier
-  std::uint64_t coalesced = 0;   // joined an identical in-flight request
-  std::uint64_t misses = 0;      // actually computed
-  std::uint64_t cancelled = 0;   // responses aborted by a cancel token
-                                 // (computed solves + detached coalesced waiters)
-  std::uint64_t timed_out = 0;   // computed solves stopped by their deadline
-  std::size_t queue_depth = 0;   // submitted but not yet completed
-  std::size_t cache_entries = 0;
-  std::size_t cache_bytes = 0;
-  bool disk_enabled = false;
-  StoreStats disk;  // persistent-tier counters (zero when disabled)
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double max_ms = 0;
-  /// Per-operation breakdown, one entry per operation that has completed
-  /// at least one response on this engine (ordered by name).
-  std::map<std::string, OpStats> per_op;
+/// The operations that have completed at least one response, name-sorted:
+/// the <name> of every op.<name>.submitted counter in the snapshot. Per-op
+/// hits count responses served without computing (store tiers +
+/// coalesced) and misses count computed solves (error payloads included),
+/// exactly the events the aggregate engine.* buckets count, so the per-op
+/// slices tile them.
+std::vector<std::string> counted_ops(const CounterSnapshot& counters);
 
-  /// Fraction of completed lookups served without computing.
-  double hit_rate() const {
-    const std::uint64_t total = cache_hits + coalesced + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits + coalesced) / total;
-  }
-
-  /// The summary-counter tiling invariant: every completed response was
-  /// served from exactly one bucket — a memory hit, a disk hit, a coalesce
-  /// (detached waiters included), or a computed miss (errors included).
-  /// Only meaningful on an idle engine: the buckets and `completed` are
-  /// updated in separate atomic steps, so a snapshot taken mid-request may
-  /// transiently disagree.
-  bool counters_tile() const {
-    return memory_hits + disk_hits + coalesced + misses == completed;
-  }
-};
+/// The summary-counter tiling invariant: every completed response was
+/// served from exactly one bucket — a memory hit, a disk hit, a coalesce
+/// (detached waiters included), or a computed miss (errors included).
+/// Only meaningful on an idle engine: the buckets and engine.completed are
+/// updated in separate atomic steps, so a snapshot taken mid-request may
+/// transiently disagree.
+bool counters_tile(const CounterSnapshot& counters);
 
 class AnalysisEngine {
  public:
@@ -275,13 +238,18 @@ class AnalysisEngine {
   /// constant, not zero.
   void drain() RSAT_EXCLUDES(flights_mu_);
 
-  /// Aggregate view over the metrics registry (plus store/queue state).
-  EngineStats stats() const RSAT_EXCLUDES(op_mu_);
+  /// The `stats` protocol verb line (service/protocol.hpp), rendered from
+  /// one registry snapshot plus the store's resident size.
+  std::string stats_line() const;
 
-  /// The registry every engine/store/pool metric lives in — the single
-  /// source of truth behind stats(), the `stats` protocol verb and the
-  /// --metrics-json snapshot. Front ends may register their own metrics
-  /// here (serve.* names) so one snapshot covers the whole process.
+  /// The result store, for its resident size and tier set.
+  const TieredStore& store() const { return store_; }
+
+  /// The registry every engine/store/pool counter lives in — the only
+  /// place one is kept, read by the `stats` and `metrics` verbs, the front
+  /// ends' summaries and the --metrics-json snapshot. Front ends may
+  /// register their own metrics here (serve.* names) so one snapshot
+  /// covers the whole process.
   support::MetricsRegistry& metrics() { return metrics_; }
   const support::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -358,7 +326,7 @@ class AnalysisEngine {
     support::Counter* misses = nullptr;
     support::Histogram* ms = nullptr;
   };
-  mutable support::Mutex op_mu_;
+  support::Mutex op_mu_;
   std::map<const Operation*, PerOpMetrics> per_op_ RSAT_GUARDED_BY(op_mu_);
 };
 

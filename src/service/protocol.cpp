@@ -293,32 +293,4 @@ std::string render_cancel_ack(std::uint64_t id, bool found) {
 
 std::string render_drain_ack() { return "drained"; }
 
-std::string render_stats_line(const EngineStats& st) {
-  // Deterministic key order (see the header's spec row): the key schema of
-  // two snapshots from the same operation mix is identical, only values
-  // differ — consumers can diff schemas across cold/warm runs.
-  const auto f = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return std::string(buf);
-  };
-  std::ostringstream os;
-  os << "stats submitted=" << st.submitted << " completed=" << st.completed
-     << " errors=" << st.errors << " memory_hits=" << st.memory_hits
-     << " disk_hits=" << st.disk_hits << " coalesced=" << st.coalesced
-     << " misses=" << st.misses << " cancelled=" << st.cancelled
-     << " timed_out=" << st.timed_out << " queue_depth=" << st.queue_depth
-     << " hit_rate=" << f(st.hit_rate()) << " entries=" << st.cache_entries
-     << " bytes=" << st.cache_bytes << " disk=" << (st.disk_enabled ? 1 : 0)
-     << " p50_ms=" << f(st.p50_ms) << " p95_ms=" << f(st.p95_ms)
-     << " p99_ms=" << f(st.p99_ms) << " max_ms=" << f(st.max_ms)
-     << " ops=" << st.per_op.size();
-  for (const auto& [name, op] : st.per_op) {  // std::map: name-sorted
-    os << " op." << name << ".submitted=" << op.submitted << " op." << name
-       << ".hits=" << op.hits << " op." << name << ".misses=" << op.misses
-       << " op." << name << ".p50_ms=" << f(op.p50_ms);
-  }
-  return os.str();
-}
-
 }  // namespace rs::service

@@ -122,7 +122,10 @@
 //         and the per-op slices tile the aggregate buckets:
 //         sum(op.*.submitted) == completed over resolved operations, and
 //         memory_hits + disk_hits + coalesced + misses == completed on an
-//         idle engine (EngineStats::counters_tile). When serve runs with
+//         idle engine (service::counters_tile). The line is rendered by
+//         AnalysisEngine::stats_line() from one registry snapshot; only
+//         entries= and bytes= (the memory LRU's resident size) and disk=
+//         come from the store itself. When serve runs with
 //         --slo-ms=<t>, the serve front end appends per-op latency-objective
 //         fields after the op groups: slo_ms=<t> slo.<name>.ok=<n>
 //         slo.<name>.breach=<n> ... (name-sorted; ok+breach counts
@@ -205,11 +208,6 @@ std::string render_cancel_ack(std::uint64_t id, bool found);
 
 /// Ack line for a drain verb: "drained".
 std::string render_drain_ack();
-
-/// Ack line for a stats verb: live engine telemetry rendered with the
-/// deterministic key order documented above (aggregate counters, latency
-/// quantiles, then name-sorted per-op groups).
-std::string render_stats_line(const EngineStats& st);
 
 /// Splits a protocol line into its key=value fields with values unescaped.
 /// The leading command token appears under the empty key "". Bare tokens map

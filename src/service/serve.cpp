@@ -130,20 +130,6 @@ SocketServer::~SocketServer() {
   for (auto& c : conns_) support::close_fd(c->fd);
 }
 
-ServeStats SocketServer::serve_stats() const {
-  ServeStats out;
-  out.connections = connections_.value();
-  out.requests = requests_.value();
-  out.parse_errors = parse_errors_.value();
-  out.responses = responses_.value();
-  out.bytes_in = bytes_in_.value();
-  out.bytes_out = bytes_out_.value();
-  out.backpressure_stalls = backpressure_stalls_.value();
-  out.slow_requests = slow_requests_.value();
-  out.open_conns = open_conns_.value();
-  return out;
-}
-
 void SocketServer::add_conn(int fd, int out_fd) {
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
@@ -293,7 +279,7 @@ void SocketServer::pump_ready(Conn& c) {
     // waiting on our own solver is not the peer's stall.
     if (c.out_empty()) c.last_progress.reset();
     if (s.stats) {
-      c.out_buf += render_stats_line(engine_.stats());
+      c.out_buf += engine_.stats_line();
       if (cfg_.slo_ms > 0) c.out_buf += render_slo_fields();
       c.out_buf += '\n';
     } else if (s.metrics) {

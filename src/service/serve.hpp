@@ -16,10 +16,10 @@
 //    and one id namespace — an explicit cancel id= therefore reaches a
 //    matching request on any connection).
 //  * cancel answers immediately with its ack.
-//  * stats answers with a live telemetry line (render_stats_line); like
-//    every ack it is emitted in order behind this stream's earlier slots,
-//    so the snapshot reflects at least everything the stream already saw
-//    answered.
+//  * stats answers with a live telemetry line (AnalysisEngine::stats_line,
+//    plus the slo.* fields under --slo-ms); like every ack it is emitted
+//    in order behind this stream's earlier slots, so the snapshot
+//    reflects at least everything the stream already saw answered.
 //  * drain is a barrier on the issuing stream: no further line of it is
 //    read until the "drained" ack — emitted in order behind the stream's
 //    earlier requests — has gone out, so every request submitted before
@@ -80,21 +80,6 @@ struct ServeConfig {
   double slo_ms = 0;
 };
 
-/// Snapshot view over the server's serve.* registry counters (the same
-/// registry AnalysisEngine::metrics() exposes, so the `stats` verb, the
-/// exit summary, and --metrics-json all read one source of truth).
-struct ServeStats {
-  std::uint64_t connections = 0;   // streams opened over the server's lifetime
-  std::uint64_t requests = 0;      // analyze/reduce submissions
-  std::uint64_t parse_errors = 0;  // lines answered with status=error
-  std::uint64_t responses = 0;     // result/ack lines written
-  std::uint64_t bytes_in = 0;      // payload bytes received
-  std::uint64_t bytes_out = 0;     // payload bytes sent
-  std::uint64_t backpressure_stalls = 0;  // read-pause edges (slot cap hit)
-  std::uint64_t slow_requests = 0;  // responses over ServeConfig::slow_ms
-  std::int64_t open_conns = 0;      // currently open streams
-};
-
 class SocketServer {
  public:
   /// Grace period for flushing pending results to unresponsive peers
@@ -135,8 +120,6 @@ class SocketServer {
 
   /// Thread-safe: makes run() begin its drain-and-exit sequence.
   void shutdown() { stop_.store(true); }
-
-  ServeStats serve_stats() const;
 
   /// Non-null when ServeConfig::trace_file is set.
   const TraceSink* trace_sink() const { return trace_sink_.get(); }

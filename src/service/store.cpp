@@ -1,8 +1,6 @@
 #include "service/store.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <system_error>
 
 #include "service/codec.hpp"
 #include "service/engine.hpp"
@@ -52,11 +50,9 @@ StoreHit MemoryStore::get(const CacheKey& key) {
   support::LockGuard lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
     if (m_misses_ != nullptr) m_misses_->inc();
     return {};
   }
-  ++shard.hits;
   if (m_hits_ != nullptr) m_hits_->inc();
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return {it->second->value, StoreTier::Memory};
@@ -82,7 +78,6 @@ void MemoryStore::put(const CacheKey& key,
     shard.lru.push_front(Entry{key, std::move(value), bytes});
     shard.index[key] = shard.lru.begin();
     shard.bytes += bytes;
-    ++shard.insertions;
     if (m_insertions_ != nullptr) m_insertions_->inc();
   }
   evict_locked(shard);
@@ -95,32 +90,18 @@ void MemoryStore::evict_locked(Shard& shard) {
     shard.bytes -= victim.bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
-    ++shard.evictions;
     if (m_evictions_ != nullptr) m_evictions_->inc();
   }
 }
 
-StoreStats MemoryStore::stats() const {
-  StoreStats out;
+ResidentSize MemoryStore::resident() const {
+  ResidentSize out;
   for (const auto& shard : shards_) {
     support::LockGuard lock(shard->mu);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.insertions += shard->insertions;
-    out.evictions += shard->evictions;
     out.entries += shard->lru.size();
     out.bytes += shard->bytes;
   }
   return out;
-}
-
-void MemoryStore::clear() {
-  for (const auto& shard : shards_) {
-    support::LockGuard lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
 }
 
 // ------------------------------------------------------------------ disk
@@ -162,77 +143,36 @@ StoreHit DiskStore::get(const CacheKey& key) {
   if (!support::read_file_to_string(entry_path(key), &text)) {
     if (d_read_ms_ != nullptr) d_read_ms_->observe(timer.millis());
     if (d_misses_ != nullptr) d_misses_->inc();
-    support::LockGuard lock(mu_);
-    ++misses_;
     return {};
   }
   std::shared_ptr<const ResultPayload> payload = decode_payload(text);
   if (d_read_ms_ != nullptr) d_read_ms_->observe(timer.millis());
-  support::LockGuard lock(mu_);
   if (payload == nullptr) {
     // Truncated, version-mismatched or corrupt entry: a miss, never a
     // crash or a poisoned payload. The entry stays on disk until the next
     // put overwrites it (atomically), so there is no delete race either.
-    ++corrupt_;
-    ++misses_;
     if (d_corrupt_ != nullptr) d_corrupt_->inc();
     if (d_misses_ != nullptr) d_misses_->inc();
     return {};
   }
-  ++hits_;
   if (d_hits_ != nullptr) d_hits_->inc();
   return {std::move(payload), StoreTier::Disk};
 }
 
-void DiskStore::put(const CacheKey& key,
-                    std::shared_ptr<const ResultPayload> value,
-                    std::size_t bytes) {
-  static_cast<void>(bytes);  // disk capacity is managed by the operator
-  RS_REQUIRE(value != nullptr, "cannot persist a null payload");
+void DiskStore::put(const CacheKey& key, const ResultPayload& value) {
   const std::string path = entry_path(key);
-  const std::string encoded = encode_payload(*value);
+  const std::string encoded = encode_payload(value);
   // Fan-out dirs exist since construction; a failure here (deleted dir,
   // full disk) is the documented best-effort degradation.
   support::Timer timer;
   const bool ok = support::write_file_atomic(path, encoded);
   if (d_write_ms_ != nullptr) d_write_ms_->observe(timer.millis());
-  support::LockGuard lock(mu_);
   if (!ok) {
-    ++write_errors_;
     if (d_write_errors_ != nullptr) d_write_errors_->inc();
     return;
   }
-  ++insertions_;
-  bytes_written_ += encoded.size();
   if (d_insertions_ != nullptr) d_insertions_->inc();
   if (d_bytes_ != nullptr) d_bytes_->inc(encoded.size());
-}
-
-StoreStats DiskStore::stats() const {
-  support::LockGuard lock(mu_);
-  StoreStats out;
-  out.hits = hits_;
-  out.misses = misses_;
-  out.insertions = insertions_;
-  out.corrupt = corrupt_;
-  out.write_errors = write_errors_;
-  out.entries = static_cast<std::size_t>(insertions_);
-  out.bytes = bytes_written_;
-  return out;
-}
-
-void DiskStore::clear() {
-  std::error_code ec;
-  for (const auto& shard :
-       std::filesystem::directory_iterator(cfg_.dir, ec)) {
-    if (!shard.is_directory(ec)) continue;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(shard.path(), ec)) {
-      if (entry.path().extension() == ".rsres") {
-        std::filesystem::remove(entry.path(), ec);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------- tiered
@@ -261,7 +201,7 @@ void TieredStore::put(const CacheKey& key,
                       std::shared_ptr<const ResultPayload> value,
                       std::size_t bytes) {
   // The persistence policy lives here, not only in the engine, so no
-  // future ResultStore caller can leak a payload past it: error and
+  // future store caller can leak a payload past it: error and
   // cancelled payloads are never stored anywhere; timed-out payloads are
   // a wall-clock-dependent best effort — valid to reuse within this
   // process (the budget is part of the key), wrong to serve to every
@@ -274,18 +214,7 @@ void TieredStore::put(const CacheKey& key,
       value->stats.stop == support::StopCause::TimedOut) {
     return;
   }
-  disk_->put(key, std::move(value), bytes);
-}
-
-StoreStats TieredStore::stats() const { return memory_->stats(); }
-
-StoreStats TieredStore::disk_stats() const {
-  return disk_ == nullptr ? StoreStats{} : disk_->stats();
-}
-
-void TieredStore::clear() {
-  memory_->clear();
-  if (disk_ != nullptr) disk_->clear();
+  disk_->put(key, *value);
 }
 
 }  // namespace rs::service

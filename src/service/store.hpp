@@ -1,13 +1,11 @@
-// ResultStore: the pluggable, tiered result-storage spine of the analysis
-// service. Replaces the engine's hard-wired in-memory LRU (the former
-// service/cache.hpp) with one interface and three implementations:
+// The tiered result-storage spine of the analysis service: three concrete
+// stores the engine composes, no virtual interface.
 //
-//  * MemoryStore — the sharded LRU, unchanged semantics: each key maps to
-//    one of `shards` independently locked LRU lists so concurrent engine
-//    workers rarely contend; capacity (bytes and entries) is split evenly
-//    across shards; values are immutable shared payloads, so eviction
-//    drops a reference but never invalidates a payload an in-flight
-//    response still holds.
+//  * MemoryStore — the sharded LRU: each key maps to one of `shards`
+//    independently locked LRU lists so concurrent engine workers rarely
+//    contend; capacity (bytes and entries) is split evenly across shards;
+//    values are immutable shared payloads, so eviction drops a reference
+//    but never invalidates a payload an in-flight response still holds.
 //
 //  * DiskStore — a fingerprint-sharded persistent tier: entries live at
 //    <dir>/<first two hex chars of the key>/<32-hex-key>.rsres, encoded
@@ -16,7 +14,7 @@
 //    stray temp file, never a torn entry. A missing, truncated,
 //    version-mismatched or otherwise corrupt entry reads as a miss. Writes
 //    are best-effort: a full or read-only disk degrades the tier to
-//    read-only (counted in stats().write_errors), it never takes the
+//    read-only (counted as store.disk.write_errors), it never takes the
 //    service down.
 //
 //  * TieredStore — memory over an optional disk tier. get() probes memory
@@ -26,6 +24,12 @@
 //    (stop == timeout; cancelled payloads never reach a store) are kept
 //    memory-only: persisting them would serve a machine-dependent
 //    best-effort bound to every future process.
+//
+// Every store event is counted in the support::MetricsRegistry passed at
+// construction (store.mem.*, store.disk.*, store.promotions) and nowhere
+// else; a store built without one counts nothing. The only state a store
+// reports itself is the memory LRU's resident size, a level rather than a
+// counter.
 //
 // Keys are canonical DDG fingerprints extended with a request digest
 // (ddg/canon.hpp, service::request_key), so structurally identical
@@ -69,46 +73,20 @@ enum class StoreTier { None = 0, Memory = 1, Disk = 2 };
 
 const char* store_tier_token(StoreTier t);
 
-struct StoreStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;     // memory tier only
-  std::uint64_t corrupt = 0;       // disk entries rejected by the codec
-  std::uint64_t write_errors = 0;  // disk writes that failed (best-effort)
-  std::size_t entries = 0;         // disk: entries written this process
-  std::size_t bytes = 0;           // disk: bytes written this process
-};
-
 /// A lookup result: the payload (nullptr = miss) and the tier it came from.
 struct StoreHit {
   std::shared_ptr<const ResultPayload> payload;
   StoreTier tier = StoreTier::None;
 };
 
-/// The storage interface the engine speaks. Implementations must be safe
-/// for concurrent get/put from many engine workers.
-class ResultStore {
- public:
-  virtual ~ResultStore() = default;
-
-  /// Returns the payload (refreshing recency where that applies) or a miss.
-  virtual StoreHit get(const CacheKey& key) = 0;
-
-  /// Inserts (or refreshes) an entry costing `bytes`. Implementations may
-  /// decline (capacity, persistence policy); put never fails loudly.
-  virtual void put(const CacheKey& key,
-                   std::shared_ptr<const ResultPayload> value,
-                   std::size_t bytes) = 0;
-
-  /// Cumulative counters since construction.
-  virtual StoreStats stats() const = 0;
-
-  virtual void clear() = 0;
+/// What the memory LRU holds right now (levels: evictions lower them).
+struct ResidentSize {
+  std::size_t entries = 0;
+  std::size_t bytes = 0;
 };
 
-/// Sharded in-memory LRU (the former service::ResultCache).
-class MemoryStore : public ResultStore {
+/// Sharded in-memory LRU. Safe for concurrent get/put.
+class MemoryStore {
  public:
   struct Config {
     std::size_t max_bytes = std::size_t{64} << 20;
@@ -117,8 +95,8 @@ class MemoryStore : public ResultStore {
   };
 
   MemoryStore() : MemoryStore(Config{}) {}
-  /// When `metrics` is non-null, mirrors hit/miss/insert/evict counters to
-  /// store.mem.* in the registry (which must outlive the store).
+  /// When `metrics` is non-null, counts hits/misses/insertions/evictions
+  /// as store.mem.* in the registry (which must outlive the store).
   explicit MemoryStore(const Config& cfg,
                        support::MetricsRegistry* metrics = nullptr);
 
@@ -126,11 +104,14 @@ class MemoryStore : public ResultStore {
   /// and put() is a no-op.
   bool enabled() const { return enabled_; }
 
-  StoreHit get(const CacheKey& key) override;
+  /// Returns the payload (refreshing its recency) or a miss.
+  StoreHit get(const CacheKey& key);
+  /// Inserts (or refreshes) an entry costing `bytes`; declined when the
+  /// store is disabled or the entry exceeds a shard's byte budget.
   void put(const CacheKey& key, std::shared_ptr<const ResultPayload> value,
-           std::size_t bytes) override;
-  StoreStats stats() const override;
-  void clear() override;
+           std::size_t bytes);
+  /// Entries and bytes resident across all shards.
+  ResidentSize resident() const;
 
  private:
   struct Entry {
@@ -147,10 +128,6 @@ class MemoryStore : public ResultStore {
     std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
         index RSAT_GUARDED_BY(mu);
     std::size_t bytes RSAT_GUARDED_BY(mu) = 0;
-    std::uint64_t hits RSAT_GUARDED_BY(mu) = 0;
-    std::uint64_t misses RSAT_GUARDED_BY(mu) = 0;
-    std::uint64_t insertions RSAT_GUARDED_BY(mu) = 0;
-    std::uint64_t evictions RSAT_GUARDED_BY(mu) = 0;
   };
 
   /// Key->shard routing reads only construction-time-immutable state
@@ -172,7 +149,9 @@ class MemoryStore : public ResultStore {
 };
 
 /// Fingerprint-sharded on-disk tier speaking the versioned payload codec.
-class DiskStore : public ResultStore {
+/// Safe for concurrent get/put: it holds no lock at all, so entry reads
+/// and writes run in parallel across workers.
+class DiskStore {
  public:
   struct Config {
     /// Root directory; created, along with all 256 fan-out
@@ -184,26 +163,17 @@ class DiskStore : public ResultStore {
     std::string dir;
   };
 
-  /// When `metrics` is non-null, mirrors counters to store.disk.* and times
-  /// entry reads/writes into store.disk.{read,write}_ms histograms.
+  /// When `metrics` is non-null, counts hits/misses/insertions/corrupt
+  /// entries/write errors/bytes written as store.disk.* and times entry
+  /// reads/writes into store.disk.{read,write}_ms histograms.
   explicit DiskStore(const Config& cfg,
                      support::MetricsRegistry* metrics = nullptr);
 
-  /// Counters-only mutex, I/O unlocked: get/put read and write entry files
-  /// with no lock held — disk latency is paid in parallel across workers —
-  /// and take mu_ only for the final counter updates. RSAT_EXCLUDES is that
-  /// pattern in the annotation vocabulary: callers provably cannot enter
-  /// the I/O path while holding the counters mutex, so the mutex can never
-  /// be held across a file operation.
-  StoreHit get(const CacheKey& key) override RSAT_EXCLUDES(mu_);
-  void put(const CacheKey& key, std::shared_ptr<const ResultPayload> value,
-           std::size_t bytes) override RSAT_EXCLUDES(mu_);
-  StoreStats stats() const override RSAT_EXCLUDES(mu_);
-  /// Removes every entry file under the root (fan-out dirs stay). Pure
-  /// file I/O: touches no counter, takes no lock.
-  void clear() override;
-
-  const std::string& dir() const { return cfg_.dir; }
+  /// Reads and decodes the entry; missing or corrupt entries are misses.
+  StoreHit get(const CacheKey& key);
+  /// Encodes and writes the entry atomically (best-effort; disk capacity
+  /// is managed by the operator).
+  void put(const CacheKey& key, const ResultPayload& value);
 
   /// The entry path for a key: <dir>/<hex[0..1]>/<hex>.rsres. Exposed for
   /// tests that corrupt/truncate entries on purpose.
@@ -211,13 +181,6 @@ class DiskStore : public ResultStore {
 
  private:
   Config cfg_;
-  mutable support::Mutex mu_;  // counters only; file I/O runs unlocked
-  std::uint64_t hits_ RSAT_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ RSAT_GUARDED_BY(mu_) = 0;
-  std::uint64_t insertions_ RSAT_GUARDED_BY(mu_) = 0;
-  std::uint64_t corrupt_ RSAT_GUARDED_BY(mu_) = 0;
-  std::uint64_t write_errors_ RSAT_GUARDED_BY(mu_) = 0;
-  std::size_t bytes_written_ RSAT_GUARDED_BY(mu_) = 0;
 
   // Cached registry entries (null when unmetered): store.disk.*.
   support::Counter* d_hits_ = nullptr;
@@ -232,7 +195,7 @@ class DiskStore : public ResultStore {
 
 /// Memory over optional disk, promote on hit, write-through on put (with
 /// the timeout-payload persistence exception documented above).
-class TieredStore : public ResultStore {
+class TieredStore {
  public:
   /// `disk` may be null (memory-only deployment). When `metrics` is
   /// non-null, disk->memory promotions are counted as store.promotions.
@@ -240,12 +203,13 @@ class TieredStore : public ResultStore {
               std::unique_ptr<DiskStore> disk,
               support::MetricsRegistry* metrics = nullptr);
 
-  StoreHit get(const CacheKey& key) override;
+  StoreHit get(const CacheKey& key);
+  /// Declines error and cancelled payloads; see the header comment for
+  /// which payloads reach the disk tier.
   void put(const CacheKey& key, std::shared_ptr<const ResultPayload> value,
-           std::size_t bytes) override;
-  /// Memory-tier counters (the engine's historical "cache" numbers).
-  StoreStats stats() const override;
-  void clear() override;
+           std::size_t bytes);
+  /// The memory tier's resident size.
+  ResidentSize resident() const { return memory_->resident(); }
 
   bool has_disk() const { return disk_ != nullptr; }
 
@@ -254,11 +218,6 @@ class TieredStore : public ResultStore {
   /// the owner publishes to memory first, so missing a disk-only entry
   /// here merely recomputes).
   StoreHit probe_memory(const CacheKey& key) { return memory_->get(key); }
-
-  StoreStats memory_stats() const { return memory_->stats(); }
-  /// Zero-valued when there is no disk tier.
-  StoreStats disk_stats() const;
-  const DiskStore* disk() const { return disk_.get(); }
 
  private:
   std::unique_ptr<MemoryStore> memory_;

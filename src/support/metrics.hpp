@@ -24,8 +24,10 @@
 //  * Snapshots are machine-readable. MetricsRegistry::to_json() renders
 //    every metric (name-sorted, so byte-stable for a given set of values)
 //    for the `--metrics-json` exit artifact; counters()/gauges()/
-//    histograms() serve programmatic consumers (EngineStats, the `stats`
-//    protocol verb).
+//    histograms() serve every other reader (the `stats` protocol verb, the
+//    batch/serve exit summaries, tests and benches), which look counters
+//    up by name. The registry is the only place a service counter is kept:
+//    no component holds a second copy to report from.
 //
 // Concurrent readers see each atomic individually; a snapshot taken while
 // writers are active is a per-metric-consistent (not globally consistent)

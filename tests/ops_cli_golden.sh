@@ -50,5 +50,19 @@ check "reduce file=$tmpdir/k.ddg limits=2,2 emit=1 id=1" \
 "$RSAT" dumpprog dotcond > "$tmpdir/p.prog" || fail=1
 check "globalrs file=$tmpdir/p.prog id=1" globalrs "$tmpdir/p.prog" id=1
 
+# Every operation row of the usage text keeps whitespace between the name
+# and its synopsis, however long the name (`rsat` alone prints usage).
+usage=$("$RSAT" 2>&1)
+ops=$(printf '%s\n' "$usage" |
+      sed -n 's/^operations (.*: \(.*\)):$/\1/p' | tr '|' ' ')
+[ -n "$ops" ] || { echo "USAGE lists no operations"; fail=1; }
+for op in $ops; do
+  case "$op" in cancel|drain|stats|metrics) continue ;; esac
+  if ! printf '%s\n' "$usage" | grep -q "^  $op[[:space:]]"; then
+    echo "USAGE row for $op has no space before its synopsis"
+    fail=1
+  fi
+done
+
 [ "$fail" -eq 0 ] && echo "PASS ops_cli_golden"
 exit "$fail"

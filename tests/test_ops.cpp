@@ -7,6 +7,7 @@
 // any service layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -141,7 +142,7 @@ TEST(OperationContract, PayloadsRoundTripThroughCodecAndDiskByteIdentically) {
     service::DiskStore store(
         service::DiskStore::Config{fresh_dir(std::string(op->name()))});
     const service::CacheKey key{0x1234, 0x5678};
-    store.put(key, resp.payload, resp.payload->bytes());
+    store.put(key, *resp.payload);
     const service::StoreHit hit = store.get(key);
     ASSERT_NE(hit.payload, nullptr) << line;
     EXPECT_EQ(hit.tier, StoreTier::Disk);
@@ -297,44 +298,47 @@ TEST(ProgramPayload, FileProgPayloadMatchesProgKernel) {
 // ---------------------------------------------------------------------------
 // per-operation engine metrics
 
-TEST(EngineStats, PerOperationBreakdownCountsHitsAndMisses) {
+TEST(EngineCounters, PerOperationBreakdownCountsHitsAndMisses) {
   AnalysisEngine engine{EngineConfig{}};
   engine.run(service::parse_request_line("analyze kernel=fir8", 1));
   engine.run(service::parse_request_line("analyze kernel=fir8", 2));
   engine.run(service::parse_request_line("analyze kernel=lin-ddot", 3));
   engine.run(service::parse_request_line("globalrs prog=diamond", 4));
-  const service::EngineStats st = engine.stats();
-  ASSERT_TRUE(st.per_op.count("analyze"));
-  ASSERT_TRUE(st.per_op.count("globalrs"));
-  EXPECT_FALSE(st.per_op.count("reduce"));  // never exercised
-  const service::OpStats& an = st.per_op.at("analyze");
-  EXPECT_EQ(an.submitted, 3u);
-  EXPECT_EQ(an.hits, 1u);
-  EXPECT_EQ(an.misses, 2u);
-  EXPECT_GE(an.p50_ms, 0.0);
-  const service::OpStats& grs = st.per_op.at("globalrs");
-  EXPECT_EQ(grs.submitted, 1u);
-  EXPECT_EQ(grs.misses, 1u);
+  const service::CounterSnapshot st = engine.metrics().counters();
+  const std::vector<std::string> ops = service::counted_ops(st);
+  const auto has = [&](const std::string& name) {
+    return std::find(ops.begin(), ops.end(), name) != ops.end();
+  };
+  ASSERT_TRUE(has("analyze"));
+  ASSERT_TRUE(has("globalrs"));
+  EXPECT_FALSE(has("reduce"));  // never exercised
+  EXPECT_EQ(st.at("op.analyze.submitted"), 3u);
+  EXPECT_EQ(st.at("op.analyze.hits"), 1u);
+  EXPECT_EQ(st.at("op.analyze.misses"), 2u);
+  EXPECT_GE(engine.metrics().histograms().at("op.analyze.ms").p50, 0.0);
+  EXPECT_EQ(st.at("op.globalrs.submitted"), 1u);
+  EXPECT_EQ(st.at("op.globalrs.misses"), 1u);
   // An error-producing compute counts as a miss in both the aggregate and
   // the per-op slice (wrong limit count -> run() throws -> error payload).
   const Response err = engine.run(service::parse_request_line(
       "globalreduce prog=diamond limits=1,1,1", 5));
   ASSERT_FALSE(err.payload->ok);
-  EXPECT_EQ(st.per_op.count("globalreduce"), 0u);  // pre-error snapshot
+  EXPECT_FALSE(has("globalreduce"));  // pre-error snapshot
   // The per-op slices tile the aggregate counters, error payloads
   // included.
-  const service::EngineStats after = engine.stats();
-  EXPECT_EQ(after.per_op.at("globalreduce").misses, 1u);
+  const service::CounterSnapshot after = engine.metrics().counters();
+  EXPECT_EQ(after.at("op.globalreduce.misses"), 1u);
   std::uint64_t submitted = 0, hits = 0, misses = 0;
-  for (const auto& [name, slice] : after.per_op) {
-    static_cast<void>(name);
-    submitted += slice.submitted;
-    hits += slice.hits;
-    misses += slice.misses;
+  for (const std::string& name : service::counted_ops(after)) {
+    submitted += after.at("op." + name + ".submitted");
+    hits += after.at("op." + name + ".hits");
+    misses += after.at("op." + name + ".misses");
   }
-  EXPECT_EQ(submitted, after.submitted);
-  EXPECT_EQ(hits, after.cache_hits + after.coalesced);
-  EXPECT_EQ(misses, after.misses);
+  EXPECT_EQ(submitted, after.at("engine.submitted"));
+  EXPECT_EQ(hits, after.at("engine.memory_hits") +
+                      after.at("engine.disk_hits") +
+                      after.at("engine.coalesced"));
+  EXPECT_EQ(misses, after.at("engine.misses"));
 }
 
 // ---------------------------------------------------------------------------

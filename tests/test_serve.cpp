@@ -110,11 +110,11 @@ TEST(Serve, AnalyzeCancelDrainOverOneConnection) {
   EXPECT_EQ(client.next_line(), "cancelled id=999 found=0");
   EXPECT_EQ(client.next_line(), "drained");
 
-  const auto ss = server->serve_stats();
-  EXPECT_EQ(ss.connections, 1u);
-  EXPECT_EQ(ss.requests, 1u);
-  EXPECT_EQ(ss.responses, 3u);
-  EXPECT_EQ(ss.parse_errors, 0u);
+  const service::CounterSnapshot c = server->engine().metrics().counters();
+  EXPECT_EQ(c.at("serve.connections"), 1u);
+  EXPECT_EQ(c.at("serve.requests"), 1u);
+  EXPECT_EQ(c.at("serve.responses"), 3u);
+  EXPECT_EQ(c.at("serve.parse_errors"), 0u);
 }
 
 TEST(Serve, StatsVerbReturnsLiveTilingTelemetry) {
@@ -153,10 +153,10 @@ TEST(Serve, StatsVerbReturnsLiveTilingTelemetry) {
 
   // The ack counts as a response but not a request, and the engine stats
   // behind the verb still tile after the session.
-  const auto ss = server->serve_stats();
-  EXPECT_EQ(ss.requests, 2u);
-  EXPECT_EQ(ss.responses, 4u);
-  EXPECT_TRUE(server->engine().stats().counters_tile());
+  const service::CounterSnapshot c = server->engine().metrics().counters();
+  EXPECT_EQ(c.at("serve.requests"), 2u);
+  EXPECT_EQ(c.at("serve.responses"), 4u);
+  EXPECT_TRUE(service::counters_tile(c));
 }
 
 TEST(Serve, TraceFileCapturesOneEventPerRequest) {
@@ -318,7 +318,8 @@ TEST(Serve, SloObjectivesCountBreachesAndExtendStats) {
   for (const auto& [k, v] : cold) cold_keys.push_back(k);
   for (const auto& [k, v] : warm) warm_keys.push_back(k);
   EXPECT_EQ(cold_keys, warm_keys);
-  EXPECT_TRUE(server->engine().stats().counters_tile());
+  EXPECT_TRUE(
+      service::counters_tile(server->engine().metrics().counters()));
 }
 
 TEST(Serve, MalformedLineAnswersErrorAndConnectionSurvives) {
@@ -333,7 +334,8 @@ TEST(Serve, MalformedLineAnswersErrorAndConnectionSurvives) {
 
   const auto ok = service::parse_fields(client.next_line());
   EXPECT_EQ(ok.at("status"), "ok");
-  EXPECT_EQ(server->serve_stats().parse_errors, 1u);
+  EXPECT_EQ(test::counter(server->engine().metrics(), "serve.parse_errors"),
+            1u);
 }
 
 TEST(Serve, ConnectionsShareTheEngineCache) {
@@ -358,7 +360,8 @@ TEST(Serve, ConnectionsShareTheEngineCache) {
   EXPECT_EQ(f1.at("fp"), f2.at("fp"));
   EXPECT_EQ(f1.at("t0.rs"), f2.at("t0.rs"));
   EXPECT_NE(f1.at("id"), f2.at("id"));
-  EXPECT_EQ(server->serve_stats().connections, 2u);
+  EXPECT_EQ(test::counter(server->engine().metrics(), "serve.connections"),
+            2u);
 }
 
 TEST(Serve, EveryRegisteredOperationServesColdWarmAndDiskHit) {
@@ -403,7 +406,8 @@ TEST(Serve, EveryRegisteredOperationServesColdWarmAndDiskHit) {
     EXPECT_EQ(service::parse_fields(hit).at("cached"), "1") << lines[i];
     EXPECT_EQ(test::strip_delivery(cold[i]), test::strip_delivery(hit)) << lines[i];
   }
-  EXPECT_GE(server->engine().stats().disk_hits, lines.size());
+  EXPECT_GE(test::counter(server->engine().metrics(), "engine.disk_hits"),
+            lines.size());
   std::filesystem::remove_all(dir);
 }
 
@@ -487,8 +491,10 @@ TEST(Serve, StreamServerAnswersAPipeAndRestoresFdFlags) {
     SocketServer server(cfg, in[0], out[1]);
     EXPECT_EQ(server.port(), 0);
     server.run();  // returns at EOF once both lines are answered
-    EXPECT_EQ(server.serve_stats().connections, 1u);
-    EXPECT_EQ(server.serve_stats().responses, 2u);
+    EXPECT_EQ(test::counter(server.engine().metrics(), "serve.connections"),
+              1u);
+    EXPECT_EQ(test::counter(server.engine().metrics(), "serve.responses"),
+              2u);
   }
   EXPECT_EQ(::fcntl(in[0], F_GETFL), in_flags);
   EXPECT_EQ(::fcntl(out[1], F_GETFL), out_flags);
@@ -516,7 +522,8 @@ TEST(Serve, OversizedLineIsRejectedInsteadOfBufferedForever) {
   const auto fields = service::parse_fields(client.next_line(60));
   EXPECT_EQ(fields.at("status"), "error");
   EXPECT_NE(fields.at("msg").find("exceeds"), std::string::npos);
-  EXPECT_EQ(server->serve_stats().parse_errors, 1u);
+  EXPECT_EQ(test::counter(server->engine().metrics(), "serve.parse_errors"),
+            1u);
 }
 
 TEST(Serve, ShutdownCancelsInFlightAndFlushesResultLines) {

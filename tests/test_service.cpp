@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <future>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -166,7 +167,8 @@ TEST(Cache, HitMissAndLruEviction) {
   MemoryStore::Config cfg;
   cfg.shards = 1;
   cfg.max_entries = 2;
-  MemoryStore cache(cfg);
+  support::MetricsRegistry metrics;
+  MemoryStore cache(cfg, &metrics);
   const CacheKey k1{1, 10}, k2{2, 20}, k3{3, 30};
   EXPECT_EQ(cache.get(k1).payload, nullptr);
   EXPECT_EQ(cache.get(k1).tier, StoreTier::None);
@@ -179,10 +181,9 @@ TEST(Cache, HitMissAndLruEviction) {
       << "LRU entry should have been evicted";
   EXPECT_NE(cache.get(k1).payload, nullptr);
   EXPECT_NE(cache.get(k3).payload, nullptr);
-  const auto st = cache.stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 1u);
-  EXPECT_EQ(st.insertions, 3u);
+  EXPECT_EQ(cache.resident().entries, 2u);
+  EXPECT_EQ(test::counter(metrics, "store.mem.evictions"), 1u);
+  EXPECT_EQ(test::counter(metrics, "store.mem.insertions"), 3u);
 }
 
 TEST(Cache, ByteCapacityEvictsAndRejectsOversized) {
@@ -196,7 +197,7 @@ TEST(Cache, ByteCapacityEvictsAndRejectsOversized) {
   EXPECT_NE(cache.get(CacheKey{2, 2}).payload, nullptr);
   cache.put(CacheKey{3, 3}, payload_named("c"), 5000);  // larger than budget
   EXPECT_EQ(cache.get(CacheKey{3, 3}).payload, nullptr);
-  EXPECT_LE(cache.stats().bytes, 1000u);
+  EXPECT_LE(cache.resident().bytes, 1000u);
 }
 
 TEST(Cache, ZeroCapacityDisables) {
@@ -403,10 +404,13 @@ TEST(Engine, DuplicateRequestHitsCacheWithIdenticalBytes) {
   a.erase("cached"), a.erase("ms");
   b.erase("cached"), b.erase("ms");
   EXPECT_EQ(a, b);
-  const auto st = engine.stats();
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_GT(st.hit_rate(), 0.0);
+  const support::MetricsRegistry& m = engine.metrics();
+  EXPECT_EQ(test::counter(m, "engine.memory_hits") +
+                test::counter(m, "engine.disk_hits"),
+            1u);
+  EXPECT_EQ(test::counter(m, "engine.misses"), 1u);
+  EXPECT_NE(service::parse_fields(engine.stats_line()).at("hit_rate"),
+            "0.000");
 }
 
 TEST(Engine, RenumberedAndRenamedInputHitsSameEntry) {
@@ -435,7 +439,7 @@ TEST(Engine, DifferentOptionsMissSeparately) {
   engine.run(std::move(exact));
   const Response r = engine.run(std::move(greedy));
   EXPECT_FALSE(r.cache_hit);
-  EXPECT_EQ(engine.stats().misses, 2u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.misses"), 2u);
 }
 
 TEST(Engine, ConcurrentDuplicatesComputeOnce) {
@@ -454,12 +458,16 @@ TEST(Engine, ConcurrentDuplicatesComputeOnce) {
     const Response r = f.get();
     ASSERT_TRUE(r.payload->ok) << r.payload->error;
   }
-  const auto st = engine.stats();
-  EXPECT_EQ(st.completed, futures.size());
-  EXPECT_EQ(st.misses, names.size())
+  const support::MetricsRegistry& m = engine.metrics();
+  EXPECT_EQ(test::counter(m, "engine.completed"), futures.size());
+  EXPECT_EQ(test::counter(m, "engine.misses"), names.size())
       << "single-flight must collapse concurrent duplicates";
-  EXPECT_EQ(st.cache_hits + st.coalesced, futures.size() - names.size());
-  EXPECT_EQ(st.queue_depth, 0u);
+  EXPECT_EQ(test::counter(m, "engine.memory_hits") +
+                test::counter(m, "engine.disk_hits") +
+                test::counter(m, "engine.coalesced"),
+            futures.size() - names.size());
+  EXPECT_EQ(service::parse_fields(engine.stats_line()).at("queue_depth"),
+            "0");
 }
 
 TEST(Engine, ErrorsAreReportedAndNotCached) {
@@ -472,9 +480,8 @@ TEST(Engine, ErrorsAreReportedAndNotCached) {
   EXPECT_FALSE(r1.payload->error.empty());
   const Response r2 = engine.run(Request(bad));
   EXPECT_FALSE(r2.cache_hit) << "error results must not be cached";
-  const auto st = engine.stats();
-  EXPECT_EQ(st.errors, 2u);
-  EXPECT_EQ(st.cache_entries, 0u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.errors"), 2u);
+  EXPECT_EQ(engine.store().resident().entries, 0u);
   // And the error renders as a protocol error line.
   const auto fields = service::parse_fields(service::render_response(r1));
   EXPECT_EQ(fields.at("status"), "error");
@@ -486,26 +493,35 @@ TEST(Engine, StatsTrackLatencyPercentiles) {
   for (int i = 0; i < 4; ++i) {
     engine.run(service::parse_request_line("analyze kernel=lin-dscal", 1));
   }
-  const auto st = engine.stats();
-  EXPECT_EQ(st.completed, 4u);
-  EXPECT_GE(st.p95_ms, st.p50_ms);
-  EXPECT_GE(st.p99_ms, st.p95_ms);
-  EXPECT_GE(st.max_ms, st.p99_ms);
-  EXPECT_GT(st.max_ms, 0.0);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.completed"), 4u);
+  const auto latency = engine.metrics().histograms().at("engine.latency_ms");
+  EXPECT_GE(latency.p95, latency.p50);
+  EXPECT_GE(latency.p99, latency.p95);
+  EXPECT_GE(latency.max, latency.p99);
+  EXPECT_GT(latency.max, 0.0);
 }
 
-// Per-op slices of an EngineStats snapshot, summed for the tiling checks.
+// Per-op slices of a counter snapshot, summed for the tiling checks.
 struct OpSums {
   std::uint64_t submitted = 0, hits = 0, misses = 0;
 };
-OpSums sum_per_op(const service::EngineStats& st) {
+OpSums sum_per_op(const service::CounterSnapshot& c) {
   OpSums s;
-  for (const auto& [name, op] : st.per_op) {
-    s.submitted += op.submitted;
-    s.hits += op.hits;
-    s.misses += op.misses;
+  for (const std::string& name : service::counted_ops(c)) {
+    s.submitted += c.at("op." + name + ".submitted");
+    s.hits += c.at("op." + name + ".hits");
+    s.misses += c.at("op." + name + ".misses");
   }
   return s;
+}
+
+// The engine.* buckets, for tiling-failure messages.
+std::string buckets(const service::CounterSnapshot& c) {
+  return std::to_string(c.at("engine.memory_hits")) + " + " +
+         std::to_string(c.at("engine.disk_hits")) + " + " +
+         std::to_string(c.at("engine.coalesced")) + " + " +
+         std::to_string(c.at("engine.misses")) +
+         " != " + std::to_string(c.at("engine.completed"));
 }
 
 TEST(Engine, CountersTileAcrossMixedWorkload) {
@@ -535,22 +551,21 @@ TEST(Engine, CountersTileAcrossMixedWorkload) {
       ddg::build_kernel("fir8", ddg::superscalar_model()), {4}));
   engine.wait_idle();
 
-  const auto st = engine.stats();
-  EXPECT_EQ(st.completed, 9u);
+  const service::CounterSnapshot c = engine.metrics().counters();
+  EXPECT_EQ(c.at("engine.completed"), 9u);
   // Whether a duplicate coalesces or lands as a memory hit is a race
   // against the first solve; only the bucket *union* is deterministic.
-  EXPECT_GE(st.memory_hits, 1u);
-  EXPECT_EQ(st.disk_hits, 1u);
-  EXPECT_EQ(st.errors, 1u);
-  EXPECT_TRUE(st.counters_tile())
-      << st.memory_hits << " + " << st.disk_hits << " + " << st.coalesced
-      << " + " << st.misses << " != " << st.completed;
-  // Per-op slices tile the aggregates (ISSUE 6 satellite): hits cover the
-  // store tiers and coalesces, misses the computed solves, errors included.
-  const OpSums sums = sum_per_op(st);
-  EXPECT_EQ(sums.submitted, st.completed);
-  EXPECT_EQ(sums.hits, st.cache_hits + st.coalesced);
-  EXPECT_EQ(sums.misses, st.misses);
+  EXPECT_GE(c.at("engine.memory_hits"), 1u);
+  EXPECT_EQ(c.at("engine.disk_hits"), 1u);
+  EXPECT_EQ(c.at("engine.errors"), 1u);
+  EXPECT_TRUE(service::counters_tile(c)) << buckets(c);
+  // Per-op slices tile the aggregates: hits cover the store tiers and
+  // coalesces, misses the computed solves, errors included.
+  const OpSums sums = sum_per_op(c);
+  EXPECT_EQ(sums.submitted, c.at("engine.completed"));
+  EXPECT_EQ(sums.hits, c.at("engine.memory_hits") + c.at("engine.disk_hits") +
+                           c.at("engine.coalesced"));
+  EXPECT_EQ(sums.misses, c.at("engine.misses"));
   std::filesystem::remove_all(dir);
 }
 
@@ -570,14 +585,12 @@ TEST(Engine, CountersTileAfterCancellations) {
   f1.get();
   f2.get();
   engine.wait_idle();
-  const auto st = engine.stats();
-  EXPECT_EQ(st.completed, 2u);
-  EXPECT_TRUE(st.counters_tile())
-      << st.memory_hits << " + " << st.disk_hits << " + " << st.coalesced
-      << " + " << st.misses << " != " << st.completed;
-  const OpSums sums = sum_per_op(st);
-  EXPECT_EQ(sums.submitted, st.completed);
-  EXPECT_EQ(sums.hits + sums.misses, st.completed);
+  const service::CounterSnapshot c = engine.metrics().counters();
+  EXPECT_EQ(c.at("engine.completed"), 2u);
+  EXPECT_TRUE(service::counters_tile(c)) << buckets(c);
+  const OpSums sums = sum_per_op(c);
+  EXPECT_EQ(sums.submitted, c.at("engine.completed"));
+  EXPECT_EQ(sums.hits + sums.misses, c.at("engine.completed"));
 }
 
 TEST(Protocol, ParsesStatsVerb) {
@@ -594,7 +607,7 @@ TEST(Protocol, StatsLineTilesAndKeepsSchemaStableColdVsWarm) {
   engine.run(service::parse_request_line("analyze kernel=lin-ddot", 1));
   engine.run(service::parse_request_line("reduce kernel=fir8 limits=16,16",
                                          2));
-  const std::string cold = service::render_stats_line(engine.stats());
+  const std::string cold = engine.stats_line();
   const auto cf = service::parse_fields(cold);
   EXPECT_EQ(cf.at(""), "stats");
   EXPECT_EQ(cf.at("submitted"), "2");
@@ -617,13 +630,66 @@ TEST(Protocol, StatsLineTilesAndKeepsSchemaStableColdVsWarm) {
   engine.run(service::parse_request_line("reduce kernel=fir8 limits=16,16",
                                          4));
   const auto wf =
-      service::parse_fields(service::render_stats_line(engine.stats()));
+      service::parse_fields(engine.stats_line());
   std::vector<std::string> cold_keys, warm_keys;
   for (const auto& [k, v] : cf) cold_keys.push_back(k);
   for (const auto& [k, v] : wf) warm_keys.push_back(k);
   EXPECT_EQ(cold_keys, warm_keys);
   EXPECT_EQ(wf.at("memory_hits"), "2");
   EXPECT_EQ(wf.at("op.analyze.hits"), "1");
+}
+
+// The whole `stats` line for a fixed single-threaded workload, cold then
+// warm: every key and every value but the *_ms= latencies is pinned, so a
+// change in how the line is assembled cannot move a byte of it. The
+// workload spans a DDG op, a program op (which also registers
+// op.globalrs.parallel_blocks) and an error payload (never cached, so it
+// misses again when warm).
+TEST(Protocol, StatsLineGoldenColdThenWarm) {
+  EngineConfig cfg;
+  cfg.threads = 1;
+  AnalysisEngine engine(cfg);
+  const std::vector<std::string> lines{
+      "analyze kernel=lin-ddot", "reduce kernel=fir8 limits=16,16",
+      "globalrs prog=diamond jobs=2", "reduce kernel=fir8 limits=4"};
+  const auto run_all = [&] {
+    std::uint64_t id = 1;
+    for (const std::string& line : lines) {
+      engine.run(service::parse_request_line(line, id++));
+    }
+  };
+  // Every *_ms= value becomes '*': latencies are the only run-dependent
+  // bytes of the line.
+  const auto masked = [](const std::string& line) {
+    std::istringstream in(line);
+    std::string out;
+    for (std::string tok; in >> tok;) {
+      const std::size_t eq = tok.find("_ms=");
+      if (eq != std::string::npos) tok.replace(eq + 4, std::string::npos, "*");
+      out += (out.empty() ? "" : " ") + tok;
+    }
+    return out;
+  };
+  run_all();
+  EXPECT_EQ(masked(engine.stats_line()),
+            "stats submitted=4 completed=4 errors=1 memory_hits=0 disk_hits=0 "
+            "coalesced=0 misses=4 cancelled=0 timed_out=0 queue_depth=0 "
+            "hit_rate=0.000 entries=3 bytes=5221 disk=0 p50_ms=* p95_ms=* "
+            "p99_ms=* max_ms=* ops=3 op.analyze.submitted=1 op.analyze.hits=0 "
+            "op.analyze.misses=1 op.analyze.p50_ms=* op.globalrs.submitted=1 "
+            "op.globalrs.hits=0 op.globalrs.misses=1 op.globalrs.p50_ms=* "
+            "op.reduce.submitted=2 op.reduce.hits=0 op.reduce.misses=2 "
+            "op.reduce.p50_ms=*");
+  run_all();
+  EXPECT_EQ(masked(engine.stats_line()),
+            "stats submitted=8 completed=8 errors=2 memory_hits=3 disk_hits=0 "
+            "coalesced=0 misses=5 cancelled=0 timed_out=0 queue_depth=0 "
+            "hit_rate=0.375 entries=3 bytes=5221 disk=0 p50_ms=* p95_ms=* "
+            "p99_ms=* max_ms=* ops=3 op.analyze.submitted=2 op.analyze.hits=1 "
+            "op.analyze.misses=1 op.analyze.p50_ms=* op.globalrs.submitted=2 "
+            "op.globalrs.hits=1 op.globalrs.misses=1 op.globalrs.p50_ms=* "
+            "op.reduce.submitted=4 op.reduce.hits=1 op.reduce.misses=3 "
+            "op.reduce.p50_ms=*");
 }
 
 // ---------------------------------------------------------------------------
@@ -715,9 +781,8 @@ TEST(Engine, CancelAbortsInFlightSolveAndSkipsCache) {
   EXPECT_FALSE(r2.cache_hit) << "cancelled results must not be cached";
   EXPECT_EQ(r2.payload->stats.stop, support::StopCause::Cancelled);
 
-  const auto st = engine.stats();
-  EXPECT_EQ(st.cancelled, 2u);
-  EXPECT_EQ(st.cache_entries, 0u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.cancelled"), 2u);
+  EXPECT_EQ(engine.store().resident().entries, 0u);
   // Completed requests are no longer cancellable.
   EXPECT_FALSE(engine.cancel(7));
 }
@@ -744,10 +809,10 @@ TEST(Engine, DrainCancelsQueuedButFinishesRunning) {
   EXPECT_EQ(r1.payload->stats.stop, support::StopCause::TimedOut);
   EXPECT_EQ(r2.payload->stats.stop, support::StopCause::Cancelled);
   EXPECT_EQ(r3.payload->stats.stop, support::StopCause::Cancelled);
-  const auto st = engine.stats();
-  EXPECT_EQ(st.completed, 3u);
-  EXPECT_EQ(st.cancelled, 2u);
-  EXPECT_EQ(st.timed_out, 1u);
+  const service::CounterSnapshot c = engine.metrics().counters();
+  EXPECT_EQ(c.at("engine.completed"), 3u);
+  EXPECT_EQ(c.at("engine.cancelled"), 2u);
+  EXPECT_EQ(c.at("engine.timed_out"), 1u);
 }
 
 TEST(Engine, CancelReleasesCoalescedWaiter) {
@@ -767,7 +832,7 @@ TEST(Engine, CancelReleasesCoalescedWaiter) {
   ASSERT_TRUE(engine.cancel(1));
   const Response r1 = f1.get();
   EXPECT_EQ(r1.payload->stats.stop, support::StopCause::Cancelled);
-  EXPECT_EQ(engine.stats().cancelled, 2u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.cancelled"), 2u);
 }
 
 TEST(Engine, TimedOutSolveReportsTimeoutAndIsCached) {
@@ -786,8 +851,7 @@ TEST(Engine, TimedOutSolveReportsTimeoutAndIsCached) {
   // answer, so it is served from the cache.
   const Response r2 = engine.run(Request(req));
   EXPECT_TRUE(r2.cache_hit);
-  const auto st = engine.stats();
-  EXPECT_EQ(st.timed_out, 1u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.timed_out"), 1u);
 }
 
 }  // namespace

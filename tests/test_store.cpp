@@ -194,7 +194,8 @@ std::shared_ptr<const ResultPayload> shared_payload(const ResultPayload& p) {
 }
 
 TEST(DiskStoreTest, PutGetRoundTripAndSharding) {
-  DiskStore store(DiskStore::Config{fresh_dir("roundtrip")});
+  support::MetricsRegistry metrics;
+  DiskStore store(DiskStore::Config{fresh_dir("roundtrip")}, &metrics);
   const CacheKey key{0xabcdef0011223344ULL, 0x5566778899aabbccULL};
   const std::string path = store.entry_path(key);
   // Fan-out: <dir>/<first two hex chars>/<hex>.rsres.
@@ -202,22 +203,22 @@ TEST(DiskStoreTest, PutGetRoundTripAndSharding) {
   EXPECT_NE(path.find(key.hex() + ".rsres"), std::string::npos);
 
   EXPECT_EQ(store.get(key).payload, nullptr);
-  store.put(key, shared_payload(sample_reduce_payload()), 100);
+  store.put(key, sample_reduce_payload());
   const auto hit = store.get(key);
   ASSERT_NE(hit.payload, nullptr);
   EXPECT_EQ(hit.tier, StoreTier::Disk);
   expect_payload_eq(*hit.payload, sample_reduce_payload());
-  const auto st = store.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.insertions, 1u);
-  EXPECT_EQ(st.corrupt, 0u);
+  EXPECT_EQ(test::counter(metrics, "store.disk.hits"), 1u);
+  EXPECT_EQ(test::counter(metrics, "store.disk.misses"), 1u);
+  EXPECT_EQ(test::counter(metrics, "store.disk.insertions"), 1u);
+  EXPECT_EQ(test::counter(metrics, "store.disk.corrupt"), 0u);
 }
 
 TEST(DiskStoreTest, TruncatedEntryReadsAsMiss) {
-  DiskStore store(DiskStore::Config{fresh_dir("truncated")});
+  support::MetricsRegistry metrics;
+  DiskStore store(DiskStore::Config{fresh_dir("truncated")}, &metrics);
   const CacheKey key{1, 2};
-  store.put(key, shared_payload(sample_analyze_payload()), 100);
+  store.put(key, sample_analyze_payload());
   ASSERT_NE(store.get(key).payload, nullptr);
 
   std::string text;
@@ -225,17 +226,18 @@ TEST(DiskStoreTest, TruncatedEntryReadsAsMiss) {
   std::ofstream(store.entry_path(key), std::ios::trunc)
       << text.substr(0, text.size() / 2);
   EXPECT_EQ(store.get(key).payload, nullptr);
-  EXPECT_GE(store.stats().corrupt, 1u);
+  EXPECT_GE(test::counter(metrics, "store.disk.corrupt"), 1u);
 
   // Overwriting the truncated entry heals it.
-  store.put(key, shared_payload(sample_analyze_payload()), 100);
+  store.put(key, sample_analyze_payload());
   EXPECT_NE(store.get(key).payload, nullptr);
 }
 
 TEST(DiskStoreTest, WrongVersionHeaderReadsAsMiss) {
-  DiskStore store(DiskStore::Config{fresh_dir("version")});
+  support::MetricsRegistry metrics;
+  DiskStore store(DiskStore::Config{fresh_dir("version")}, &metrics);
   const CacheKey key{3, 4};
-  store.put(key, shared_payload(sample_analyze_payload()), 100);
+  store.put(key, sample_analyze_payload());
   std::string text;
   ASSERT_TRUE(support::read_file_to_string(store.entry_path(key), &text));
   const std::size_t pos = text.find("v=1");
@@ -243,14 +245,14 @@ TEST(DiskStoreTest, WrongVersionHeaderReadsAsMiss) {
   text.replace(pos, 3, "v=9");
   ASSERT_TRUE(support::write_file_atomic(store.entry_path(key), text));
   EXPECT_EQ(store.get(key).payload, nullptr);
-  EXPECT_GE(store.stats().corrupt, 1u);
+  EXPECT_GE(test::counter(metrics, "store.disk.corrupt"), 1u);
 }
 
 TEST(DiskStoreTest, UnknownTrailingKeysNeverPoisonThePayload) {
   DiskStore store(DiskStore::Config{fresh_dir("unknown")});
   const CacheKey key{5, 6};
   const ResultPayload p = sample_analyze_payload();
-  store.put(key, shared_payload(p), 100);
+  store.put(key, p);
   std::string text;
   ASSERT_TRUE(support::read_file_to_string(store.entry_path(key), &text));
   ASSERT_EQ(text.back(), '\n');
@@ -273,7 +275,7 @@ TEST(DiskStoreTest, UnknownTrailingKeysNeverPoisonThePayload) {
 TEST(DiskStoreTest, GarbageAndBinaryEntriesReadAsMiss) {
   DiskStore store(DiskStore::Config{fresh_dir("garbage")});
   const CacheKey key{7, 8};
-  store.put(key, shared_payload(sample_analyze_payload()), 100);
+  store.put(key, sample_analyze_payload());
   std::ofstream(store.entry_path(key), std::ios::trunc | std::ios::binary)
       << std::string("\x00\xff\x7f garbage\n\n more", 18);
   EXPECT_EQ(store.get(key).payload, nullptr);
@@ -301,26 +303,32 @@ TEST(TieredStoreTest, DiskHitPromotesIntoMemory) {
 
 TEST(TieredStoreTest, TimedOutPayloadsStayOffDisk) {
   const std::string dir = fresh_dir("timeout_policy");
+  support::MetricsRegistry metrics;
   TieredStore store(std::make_unique<MemoryStore>(),
-                    std::make_unique<DiskStore>(DiskStore::Config{dir}));
+                    std::make_unique<DiskStore>(DiskStore::Config{dir},
+                                                &metrics));
   ResultPayload timed = sample_analyze_payload();
   timed.stats.stop = support::StopCause::TimedOut;
   const CacheKey key{33, 44};
   store.put(key, shared_payload(timed), 100);
   EXPECT_EQ(store.get(key).tier, StoreTier::Memory)
       << "timed-out payloads are reusable within the process";
-  EXPECT_EQ(store.disk_stats().insertions, 0u)
+  EXPECT_EQ(test::counter(metrics, "store.disk.insertions"), 0u)
       << "but must never be persisted";
   EXPECT_EQ(DiskStore(DiskStore::Config{dir}).get(key).payload, nullptr);
 }
 
 TEST(TieredStoreTest, NullDiskIsMemoryOnly) {
-  TieredStore store(std::make_unique<MemoryStore>(), nullptr);
+  support::MetricsRegistry metrics;
+  TieredStore store(std::make_unique<MemoryStore>(MemoryStore::Config{},
+                                                  &metrics),
+                    nullptr, &metrics);
   EXPECT_FALSE(store.has_disk());
   const CacheKey key{55, 66};
   store.put(key, shared_payload(sample_analyze_payload()), 100);
   EXPECT_EQ(store.get(key).tier, StoreTier::Memory);
-  EXPECT_EQ(store.disk_stats().hits, 0u);
+  EXPECT_EQ(test::counter(metrics, "store.disk.hits"), 0u);
+  EXPECT_EQ(test::counter(metrics, "store.mem.hits"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +352,7 @@ TEST(EngineDisk, ColdWarmAndRestartLinesAreByteIdentical) {
     EXPECT_TRUE(r2.cache_hit);
     EXPECT_EQ(r2.tier, StoreTier::Memory);
     warm = service::render_response(r2);
-    EXPECT_EQ(engine.stats().memory_hits, 1u);
+    EXPECT_EQ(test::counter(engine.metrics(), "engine.memory_hits"), 1u);
   }
   {
     // Cold restart: new engine, empty MemoryStore, same cache_dir.
@@ -353,11 +361,11 @@ TEST(EngineDisk, ColdWarmAndRestartLinesAreByteIdentical) {
     EXPECT_TRUE(r3.cache_hit);
     EXPECT_EQ(r3.tier, StoreTier::Disk);
     restart = service::render_response(r3);
-    const auto st = engine.stats();
-    EXPECT_EQ(st.disk_hits, 1u);
-    EXPECT_EQ(st.memory_hits, 0u);
-    EXPECT_TRUE(st.disk_enabled);
-    EXPECT_EQ(st.disk.hits, 1u);
+    const service::CounterSnapshot c = engine.metrics().counters();
+    EXPECT_EQ(c.at("engine.disk_hits"), 1u);
+    EXPECT_EQ(c.at("engine.memory_hits"), 0u);
+    EXPECT_TRUE(engine.store().has_disk());
+    EXPECT_EQ(c.at("store.disk.hits"), 1u);
   }
   ASSERT_NE(cold.find("cached=0"), std::string::npos);
   ASSERT_NE(warm.find("cached=1"), std::string::npos);
@@ -408,13 +416,13 @@ TEST(EngineDisk, TimedOutResultsAreNotServedAcrossRestart) {
     ASSERT_EQ(r1.payload->stats.stop, support::StopCause::TimedOut);
     // Within the process it is cached (in memory)...
     EXPECT_TRUE(engine.run(Request(req)).cache_hit);
-    EXPECT_EQ(engine.stats().disk.insertions, 0u);
+    EXPECT_EQ(test::counter(engine.metrics(), "store.disk.insertions"), 0u);
   }
   // ...but a restart recomputes: wall-clock best-efforts don't persist.
   AnalysisEngine engine(cfg);
   const Response r2 = engine.run(Request(req));
   EXPECT_FALSE(r2.cache_hit);
-  EXPECT_EQ(engine.stats().disk_hits, 0u);
+  EXPECT_EQ(test::counter(engine.metrics(), "engine.disk_hits"), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Shared helpers for the service test suites.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -8,8 +9,18 @@
 #include "cfg/cfg.hpp"
 #include "ddg/ddg.hpp"
 #include "service/operation.hpp"
+#include "support/metrics.hpp"
 
 namespace rs::test {
+
+/// One registry counter by name, read from a snapshot; 0 when it was never
+/// registered (reading never registers it).
+inline std::uint64_t counter(const support::MetricsRegistry& metrics,
+                             const std::string& name) {
+  const std::map<std::string, std::uint64_t> snapshot = metrics.counters();
+  const auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0 : it->second;
+}
 
 /// Rebuilds `d` with ops inserted in the order given by `order` (a
 /// permutation of old node ids) and arcs inserted in reverse, optionally

@@ -69,6 +69,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -123,10 +124,15 @@ int usage() {
         "operations (one-shot <op> and batch/serve request lines: "
      << rs::service::operation_names("|")
      << "|cancel|drain|stats|metrics):\n";
+  // Names are padded to the longest one plus a space, so every synopsis
+  // starts in one column and never runs into its name.
+  std::size_t width = 0;
   for (const rs::service::Operation* op : rs::service::operations()) {
-    os << "  " << op->name();
-    for (std::size_t pad = op->name().size(); pad < 9; ++pad) os << ' ';
-    os << op->synopsis() << '\n';
+    width = std::max(width, op->name().size() + 1);
+  }
+  for (const rs::service::Operation* op : rs::service::operations()) {
+    os << "  " << op->name() << std::string(width - op->name().size(), ' ')
+       << op->synopsis() << '\n';
   }
   os << "common request options: budget=<sec> id=<n> name=<str>; kernel=,\n"
         "prog= and file=<x>.prog payloads also take model=superscalar|vliw\n";
@@ -190,73 +196,83 @@ void install_sigint_handler() {
 #endif
 }
 
+/// One counter of a registry snapshot, typed for printf's %llu; 0 when it
+/// was never registered.
+unsigned long long count(const rs::service::CounterSnapshot& counters,
+                         const std::string& name) {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 /// The summary tail batch and serve share after run(): the hit-rate line
 /// split by store tier (plus the persistent-cache directory and its
 /// counters when enabled), per-op rows, latency quantiles, the caller's
 /// wall-time line, and the trace sink's counts.
 void print_summary(rs::service::SocketServer& server,
                    const std::string& cache_dir, const std::string& wall) {
-  const rs::service::EngineStats st = server.engine().stats();
+  const rs::service::AnalysisEngine& engine = server.engine();
+  const rs::service::CounterSnapshot counters = engine.metrics().counters();
+  const auto histograms = engine.metrics().histograms();
+  const auto n = [&](const std::string& name) { return count(counters, name); };
+  const unsigned long long mem = n("engine.memory_hits");
+  const unsigned long long disk = n("engine.disk_hits");
+  const unsigned long long coalesced = n("engine.coalesced");
+  const unsigned long long misses = n("engine.misses");
+  const unsigned long long served = mem + disk + coalesced;
+  const unsigned long long lookups = served + misses;
+  const rs::service::ResidentSize resident = engine.store().resident();
   std::fprintf(stderr,
                "cache: %llu hits (%llu mem, %llu disk) + %llu coalesced / "
                "%llu lookups (%.1f%% hit rate), %zu entries, %zu bytes\n",
-               static_cast<unsigned long long>(st.cache_hits),
-               static_cast<unsigned long long>(st.memory_hits),
-               static_cast<unsigned long long>(st.disk_hits),
-               static_cast<unsigned long long>(st.coalesced),
-               static_cast<unsigned long long>(st.cache_hits + st.coalesced +
-                                               st.misses),
-               100.0 * st.hit_rate(), st.cache_entries, st.cache_bytes);
-  if (st.disk_enabled) {
+               mem + disk, mem, disk, coalesced, lookups,
+               100.0 * (lookups == 0 ? 0.0
+                                     : static_cast<double>(served) / lookups),
+               resident.entries, resident.bytes);
+  if (engine.store().has_disk()) {
     std::fprintf(stderr,
                  "cache dir: %s (%llu disk hits, %llu writes, %llu corrupt, "
                  "%llu write errors)\n",
-                 cache_dir.c_str(),
-                 static_cast<unsigned long long>(st.disk.hits),
-                 static_cast<unsigned long long>(st.disk.insertions),
-                 static_cast<unsigned long long>(st.disk.corrupt),
-                 static_cast<unsigned long long>(st.disk.write_errors));
+                 cache_dir.c_str(), n("store.disk.hits"),
+                 n("store.disk.insertions"), n("store.disk.corrupt"),
+                 n("store.disk.write_errors"));
   }
-  // One row per operation actually exercised (EngineStats::per_op).
-  std::uint64_t op_hits = 0, op_misses = 0;
-  for (const auto& [name, op] : st.per_op) {
+  // One row per operation actually exercised.
+  unsigned long long op_hits = 0, op_misses = 0;
+  for (const std::string& name : rs::service::counted_ops(counters)) {
+    const std::string op = "op." + name + ".";
+    const auto ms = histograms.find(op + "ms");
     std::fprintf(stderr,
                  "op %s: %llu submitted, %llu hits, %llu misses, "
                  "p50 %.3f ms\n",
-                 name.c_str(), static_cast<unsigned long long>(op.submitted),
-                 static_cast<unsigned long long>(op.hits),
-                 static_cast<unsigned long long>(op.misses), op.p50_ms);
-    op_hits += op.hits;
-    op_misses += op.misses;
+                 name.c_str(), n(op + "submitted"), n(op + "hits"),
+                 n(op + "misses"),
+                 ms == histograms.end() ? 0.0 : ms->second.p50);
+    op_hits += n(op + "hits");
+    op_misses += n(op + "misses");
   }
   // Tiling invariants (both front ends print summaries only at idle, when
   // they hold exactly): every completed response is exactly one of a
   // memory hit, disk hit, coalesce, or miss, and the per-op slices sum to
   // the aggregates. A violation is an accounting bug worth shouting about,
   // not worth killing a server that just answered its workload over.
-  if (!st.counters_tile()) {
+  if (!rs::service::counters_tile(counters)) {
     std::fprintf(stderr,
                  "WARNING: cache counters do not tile: "
                  "%llu mem + %llu disk + %llu coalesced + %llu misses != "
                  "%llu completed\n",
-                 static_cast<unsigned long long>(st.memory_hits),
-                 static_cast<unsigned long long>(st.disk_hits),
-                 static_cast<unsigned long long>(st.coalesced),
-                 static_cast<unsigned long long>(st.misses),
-                 static_cast<unsigned long long>(st.completed));
+                 mem, disk, coalesced, misses, n("engine.completed"));
   }
-  if (op_hits != st.cache_hits + st.coalesced || op_misses != st.misses) {
+  if (op_hits != served || op_misses != misses) {
     std::fprintf(stderr,
                  "WARNING: per-op slices do not tile the engine totals: "
                  "hits %llu != %llu or misses %llu != %llu\n",
-                 static_cast<unsigned long long>(op_hits),
-                 static_cast<unsigned long long>(st.cache_hits + st.coalesced),
-                 static_cast<unsigned long long>(op_misses),
-                 static_cast<unsigned long long>(st.misses));
+                 op_hits, served, op_misses, misses);
   }
+  const rs::support::MetricsRegistry::HistogramView& latency =
+      histograms.at("engine.latency_ms");
   std::fprintf(stderr,
                "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
+               latency.p50, latency.p95, latency.p99, latency.max);
   std::fprintf(stderr, "wall: %s, %zu threads\n", wall.c_str(),
                server.engine().thread_count());
   if (const rs::service::TraceSink* sink = server.trace_sink()) {
@@ -377,14 +393,15 @@ int cmd_serve(int argc, char** argv) {
     return g_interrupted != 0;
   });
 
-  const rs::service::ServeStats ss = server.serve_stats();
+  const rs::service::CounterSnapshot counters =
+      server.engine().metrics().counters();
   std::fprintf(stderr,
                "serve: %llu connections, %llu requests, %llu responses "
                "(%llu parse errors)%s\n",
-               static_cast<unsigned long long>(ss.connections),
-               static_cast<unsigned long long>(ss.requests),
-               static_cast<unsigned long long>(ss.responses),
-               static_cast<unsigned long long>(ss.parse_errors),
+               count(counters, "serve.connections"),
+               count(counters, "serve.requests"),
+               count(counters, "serve.responses"),
+               count(counters, "serve.parse_errors"),
                g_interrupted ? " [interrupted, drained]" : "");
   char wall_line[64];
   std::snprintf(wall_line, sizeof wall_line, "%.3f s", wall.seconds());
@@ -433,10 +450,14 @@ int cmd_batch(int argc, char** argv) {
   // Control-verb acks are not requests; parse errors are (and failed).
   // Cancelled and timed-out responses count as ok (they carry valid
   // witnessed bounds) and are tallied by cause too.
-  const rs::service::ServeStats ss = server.serve_stats();
-  const rs::service::EngineStats st = server.engine().stats();
-  const std::uint64_t total = ss.requests + ss.parse_errors;
-  const std::uint64_t failed = st.errors + ss.parse_errors;
+  const rs::service::CounterSnapshot counters =
+      server.engine().metrics().counters();
+  const unsigned long long parse_errors =
+      count(counters, "serve.parse_errors");
+  const unsigned long long total =
+      count(counters, "serve.requests") + parse_errors;
+  const unsigned long long failed =
+      count(counters, "engine.errors") + parse_errors;
   if (total == 0) {
     std::fprintf(stderr, "batch: 0 requests\n");
     write_metrics_json(server.engine().metrics(), metrics_json);
@@ -446,11 +467,9 @@ int cmd_batch(int argc, char** argv) {
   std::fprintf(stderr,
                "batch: %llu requests, %llu ok, %llu error "
                "(%llu cancelled, %llu timed out)%s\n",
-               static_cast<unsigned long long>(total),
-               static_cast<unsigned long long>(total - failed),
-               static_cast<unsigned long long>(failed),
-               static_cast<unsigned long long>(st.cancelled),
-               static_cast<unsigned long long>(st.timed_out),
+               total, total - failed, failed,
+               count(counters, "engine.cancelled"),
+               count(counters, "engine.timed_out"),
                g_interrupted ? " [interrupted, drained]" : "");
   char wall_line[64];
   std::snprintf(wall_line, sizeof wall_line, "%.3f s (%.1f req/s)", wall_s,
