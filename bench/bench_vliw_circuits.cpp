@@ -45,7 +45,8 @@ int main() {
       if (!ext.is_dag) ++cyclic_unguarded;
     }
 
-    // Guarded: the library's reduce_optimal (leaf filter = DAG check).
+    // Guarded: the library's reduce_optimal (SRC leaves must have an
+    // acyclic extension).
     rs::core::ReduceOptions ropts;
     ropts.rs_upper = rs_res.rs;
     const auto red = rs::core::reduce_optimal(ctx, R, ropts,

@@ -1,5 +1,6 @@
 #include "core/min_reg.hpp"
 
+#include "core/extension.hpp"
 #include "graph/paths.hpp"
 #include "support/assert.hpp"
 
@@ -8,7 +9,6 @@ namespace rs::core {
 MinRegResult minimize_register_need(const TypeContext& ctx,
                                     sched::Time cp_budget,
                                     const SrcOptions& opts,
-                                    ArcLatencyMode mode,
                                     const support::SolveContext& solve) {
   MinRegResult result;
   const sched::Time budget =
@@ -22,16 +22,12 @@ MinRegResult minimize_register_need(const TypeContext& ctx,
   }
   // Paper (end of section 4): only schedules whose Theorem-4.2 extension
   // keeps the DAG property are admissible witnesses — otherwise the
-  // "minimal-need DAG" this function promises would be cyclic. Compose
-  // with any caller-provided filter.
-  SrcOptions filtered = opts;
-  filtered.leaf_filter = [&ctx, mode, &opts](const sched::Schedule& s) {
-    if (opts.leaf_filter && !opts.leaf_filter(s)) return false;
-    return extend_by_schedule(ctx, s, mode).is_dag;
-  };
+  // "minimal-need DAG" this function promises would be cyclic.
+  SrcOptions guarded = opts;
+  guarded.acyclic_extension = true;
   for (int r = 1; r <= ctx.value_count(); ++r) {
     SrcSolver solver(ctx, r);
-    SrcResult feas = solver.feasible(budget, 0, filtered, solve);
+    SrcResult feas = solver.feasible(budget, 0, guarded, solve);
     result.nodes += feas.nodes;
     result.stats.merge(feas.stats);
     if (feas.status == SrcStatus::LimitHit && !feas.feasible) {
@@ -43,7 +39,7 @@ MinRegResult minimize_register_need(const TypeContext& ctx,
       result.proven = true;
       result.min_need = feas.rn;
       result.sigma = feas.sigma;
-      ExtensionResult ext = extend_by_schedule(ctx, feas.sigma, mode);
+      ExtensionResult ext = extend_by_schedule(ctx, feas.sigma);
       result.arcs_added = ext.arcs_added;
       result.critical_path = graph::critical_path(ext.extended.graph());
       result.extended = std::move(ext.extended);

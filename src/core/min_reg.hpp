@@ -6,8 +6,9 @@
 // machine actually has.
 #pragma once
 
+#include <optional>
+
 #include "core/context.hpp"
-#include "core/reduce.hpp"
 #include "core/src_solver.hpp"
 
 namespace rs::core {
@@ -29,7 +30,6 @@ struct MinRegResult {
 MinRegResult minimize_register_need(const TypeContext& ctx,
                                     sched::Time cp_budget,
                                     const SrcOptions& opts,
-                                    ArcLatencyMode mode = ArcLatencyMode::General,
                                     const support::SolveContext& solve = {});
 
 }  // namespace rs::core

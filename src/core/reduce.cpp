@@ -1,93 +1,15 @@
 #include "core/reduce.hpp"
 
 #include <algorithm>
-#include <set>
+#include <tuple>
 
 #include "core/rs_exact.hpp"
 #include "graph/paths.hpp"
 #include "graph/topo.hpp"
-#include "sched/lifetime.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 
 namespace rs::core {
-
-namespace {
-
-struct ArcSpec {
-  ddg::NodeId src;
-  ddg::NodeId dst;
-  ddg::Latency latency;
-};
-
-ddg::Latency serialization_latency(const ddg::Ddg& ddg, ddg::NodeId reader,
-                                   ddg::NodeId def, ArcLatencyMode mode) {
-  const ddg::Latency general =
-      ddg.op(reader).delta_r - ddg.op(def).delta_w;
-  if (mode == ArcLatencyMode::PaperStrict &&
-      ddg.op(reader).delta_r == 0 && ddg.op(def).delta_w == 0) {
-    return 1;  // the paper's sequential-semantics latency for superscalar
-  }
-  return general;
-}
-
-/// Arcs forcing LT(value i) to precede LT(value j) in every schedule
-/// (Theorem 4.2 proof): readers of i must read before j writes.
-std::vector<ArcSpec> pair_serialization_arcs(const TypeContext& ctx, int i,
-                                             int j, ArcLatencyMode mode) {
-  const ddg::NodeId vj = ctx.value_node(j);
-  std::vector<ArcSpec> arcs;
-  for (const ddg::NodeId reader : ctx.cons(i)) {
-    if (reader == vj) continue;  // the "v in Cons(u)" case skips v itself
-    arcs.push_back(ArcSpec{reader, vj,
-                           serialization_latency(ctx.ddg(), reader, vj, mode)});
-  }
-  return arcs;
-}
-
-/// True when the arc is already enforced by the original longest paths or
-/// by an identical previously added arc (keeps reported arc counts honest).
-bool arc_redundant(const TypeContext& ctx,
-                   const std::set<std::pair<ddg::NodeId, ddg::NodeId>>& added,
-                   const ArcSpec& a) {
-  if (a.src == a.dst) return true;
-  if (added.count({a.src, a.dst})) return true;
-  return ctx.lp().reaches(a.src, a.dst) && ctx.lp().lp(a.src, a.dst) >= a.latency;
-}
-
-}  // namespace
-
-ExtensionResult extend_by_schedule(const TypeContext& ctx,
-                                   const sched::Schedule& sigma,
-                                   ArcLatencyMode mode) {
-  RS_REQUIRE(sched::is_valid(ctx.ddg(), sigma), "invalid schedule");
-  const std::vector<sched::Lifetime> lts =
-      sched::lifetimes(ctx.ddg(), ctx.type(), sigma);
-  const int nv = ctx.value_count();
-
-  ExtensionResult result{ctx.ddg(), 0, true};
-  std::set<std::pair<ddg::NodeId, ddg::NodeId>> added;
-  for (int i = 0; i < nv; ++i) {
-    for (int j = 0; j < nv; ++j) {
-      if (i == j) continue;
-      // LT(i) before LT(j) under sigma (left-open: kill <= def suffices).
-      if (lts[i].kill > lts[j].def) continue;
-      // Symmetric empty-interval ties: orient one way only, by (def, index).
-      if (lts[j].kill <= lts[i].def &&
-          std::make_pair(lts[j].def, j) < std::make_pair(lts[i].def, i)) {
-        continue;
-      }
-      for (const ArcSpec& a : pair_serialization_arcs(ctx, i, j, mode)) {
-        if (arc_redundant(ctx, added, a)) continue;
-        result.extended.add_serial(a.src, a.dst, a.latency);
-        added.insert({a.src, a.dst});
-        ++result.arcs_added;
-      }
-    }
-  }
-  result.is_dag = graph::is_dag(result.extended.graph());
-  return result;
-}
 
 ReduceResult reduce_optimal(const TypeContext& ctx, int R,
                             const ReduceOptions& opts,
@@ -112,15 +34,7 @@ ReduceResult reduce_optimal(const TypeContext& ctx, int R,
   }
 
   SrcOptions src = opts.src;
-  const ArcLatencyMode mode = opts.arc_mode;
-  // Paper (end of section 4): reject schedules whose extension would lose
-  // the DAG property. Zero write offsets do not prevent it: when two ops
-  // issue in the same cycle and both read a value that dies there, their
-  // reader->def arcs form a zero-latency 2-cycle (rr0 <-> ri0 in
-  // perfbench/kernels/complex-mul2.ddg, where every dr/dw is 0).
-  src.leaf_filter = [&ctx, mode](const sched::Schedule& s) {
-    return extend_by_schedule(ctx, s, mode).is_dag;
-  };
+  src.acyclic_extension = true;  // paper, end of section 4
 
   SrcSolver solver(ctx, R);
   const SrcResult r = solver.reduce_lexicographic(rs_upper, src, solve);
@@ -129,9 +43,10 @@ ReduceResult reduce_optimal(const TypeContext& ctx, int R,
   if (!r.feasible) {
     result.status = r.status == SrcStatus::Proven ? ReduceStatus::SpillNeeded
                                                   : ReduceStatus::LimitHit;
+    result.critical_path = result.original_cp;  // G is left unchanged
     return result;
   }
-  ExtensionResult ext = extend_by_schedule(ctx, r.sigma, mode);
+  ExtensionResult ext = extend_by_schedule(ctx, r.sigma);
   RS_CHECK(ext.is_dag);
   result.status = ReduceStatus::Reduced;
   result.achieved_rs = r.rn;
@@ -192,29 +107,19 @@ ReduceResult reduce_greedy(const TypeContext& ctx, int R,
     struct Candidate {
       int i, j;
       sched::Time cp;
-      int arcs;
+      std::vector<SerialArc> arcs;
     };
     std::vector<Candidate> candidates;
     for (const int i : est.antichain) {
       for (const int j : est.antichain) {
         if (i == j) continue;
-        const auto arcs = pair_serialization_arcs(cur_ctx, i, j, opts.arc_mode);
-        graph::Digraph trial(current.graph().node_count());
-        for (const graph::Edge& e : current.graph().edges()) {
-          trial.add_edge(e.src, e.dst, e.latency);
-        }
-        int added = 0;
-        std::set<std::pair<ddg::NodeId, ddg::NodeId>> dedup;
-        for (const ArcSpec& a : arcs) {
-          if (arc_redundant(cur_ctx, dedup, a)) continue;
-          trial.add_edge(a.src, a.dst, a.latency);
-          dedup.insert({a.src, a.dst});
-          ++added;
-        }
-        if (added == 0) continue;          // pair already ordered
+        std::vector<SerialArc> arcs = pair_serialization_arcs(cur_ctx, i, j);
+        if (arcs.empty()) continue;  // pair already ordered
+        graph::Digraph trial = current.graph();
+        for (const SerialArc& a : arcs) trial.add_edge(a.src, a.dst, a.latency);
         if (!graph::is_dag(trial)) continue;  // would lose the DAG property
         candidates.push_back(
-            Candidate{i, j, graph::critical_path(trial), added});
+            Candidate{i, j, graph::critical_path(trial), std::move(arcs)});
       }
     }
     if (candidates.empty()) {
@@ -228,9 +133,8 @@ ReduceResult reduce_greedy(const TypeContext& ctx, int R,
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
-                if (a.cp != b.cp) return a.cp < b.cp;
-                if (a.arcs != b.arcs) return a.arcs < b.arcs;
-                return std::make_pair(a.i, a.j) < std::make_pair(b.i, b.j);
+                return std::tuple(a.cp, a.arcs.size(), a.i, a.j) <
+                       std::tuple(b.cp, b.arcs.size(), b.i, b.j);
               });
     // Among the critical-path-minimal candidates, pick the one whose
     // application drops the heuristic saturation the most (evaluate a few).
@@ -242,12 +146,8 @@ ReduceResult reduce_greedy(const TypeContext& ctx, int R,
       if (c.cp != best_cp || evaluated >= 8) break;
       ++evaluated;
       ddg::Ddg trial = current;
-      std::set<std::pair<ddg::NodeId, ddg::NodeId>> dedup;
-      for (const ArcSpec& a :
-           pair_serialization_arcs(cur_ctx, c.i, c.j, opts.arc_mode)) {
-        if (arc_redundant(cur_ctx, dedup, a)) continue;
+      for (const SerialArc& a : c.arcs) {
         trial.add_serial(a.src, a.dst, a.latency);
-        dedup.insert({a.src, a.dst});
       }
       const TypeContext trial_ctx(trial, ctx.type());
       const RsEstimate trial_est = greedy_k(trial_ctx, opts.greedy, solve);
@@ -260,14 +160,10 @@ ReduceResult reduce_greedy(const TypeContext& ctx, int R,
     }
     RS_CHECK(best != nullptr);
     candidates_evaluated += evaluated;
-    std::set<std::pair<ddg::NodeId, ddg::NodeId>> dedup;
-    for (const ArcSpec& a :
-         pair_serialization_arcs(cur_ctx, best->i, best->j, opts.arc_mode)) {
-      if (arc_redundant(cur_ctx, dedup, a)) continue;
+    for (const SerialArc& a : best->arcs) {
       current.add_serial(a.src, a.dst, a.latency);
-      dedup.insert({a.src, a.dst});
-      ++arcs_added;
     }
+    arcs_added += static_cast<int>(best->arcs.size());
   }
   result.status = ReduceStatus::LimitHit;
   result.stats.stop = support::worse_cause(result.stats.stop,

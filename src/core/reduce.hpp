@@ -1,13 +1,10 @@
 // Register saturation reduction (section 4): add serial arcs to a DDG so
 // that RS_t(G-bar) <= R while minimizing critical-path growth.
 //
-// * extend_by_schedule implements the Theorem-4.2 construction: given a
-//   schedule sigma with RN_sigma <= R, add arcs making every non-interfering
-//   lifetime precedence of sigma hold under all schedules of G-bar; then
-//   RS(G-bar) = RN_sigma(G) and CP(G-bar) <= total time of sigma.
 // * reduce_optimal drives the exact SRC solver through the paper's
 //   decrement loop (maximize achieved RN <= R, then minimize makespan) and
-//   builds G-bar from the witness.
+//   builds G-bar from the witness with the Theorem-4.2 construction
+//   (core/extension.hpp).
 // * reduce_greedy is the heuristic of [Touati CC'01]: repeatedly serialize
 //   a pair of saturating values, choosing the candidate with minimal
 //   critical-path increase (then maximal saturation drop), until RS <= R.
@@ -16,34 +13,12 @@
 #include <optional>
 
 #include "core/context.hpp"
+#include "core/extension.hpp"
 #include "core/greedy_k.hpp"
 #include "core/src_solver.hpp"
 #include "sched/schedule.hpp"
 
 namespace rs::core {
-
-/// Arc-insertion policy for the Theorem-4.2 construction.
-enum class ArcLatencyMode {
-  /// latency = delta_r(u') - delta_w(v): the weakest arcs preserving the
-  /// lifetime precedence under left-open interval semantics (default; for
-  /// superscalar targets this gives latency 0).
-  General,
-  /// latency = max(1, delta_r - delta_w) on superscalar-style targets: the
-  /// paper's literal "sequential semantics" choice. Stricter, never wrong
-  /// (may cost one extra cycle of critical path on read/write ties).
-  PaperStrict,
-};
-
-struct ExtensionResult {
-  ddg::Ddg extended;       // G-bar
-  int arcs_added = 0;      // serial arcs inserted (after dedup)
-  bool is_dag = true;      // false => no topological sort (paper: reject)
-};
-
-/// Builds G-bar from sigma per the Theorem-4.2 proof. sigma must be valid.
-ExtensionResult extend_by_schedule(const TypeContext& ctx,
-                                   const sched::Schedule& sigma,
-                                   ArcLatencyMode mode = ArcLatencyMode::General);
 
 enum class ReduceStatus {
   AlreadyFits,   // RS(G) <= R, nothing to do (the figure-2(a) case)
@@ -68,7 +43,6 @@ struct ReduceResult {
 struct ReduceOptions {
   SrcOptions src;
   GreedyOptions greedy;
-  ArcLatencyMode arc_mode = ArcLatencyMode::General;
   /// Upper bound on RS(G) if already known (skips recomputation); -1 = no.
   int rs_upper = -1;
   /// Safety cap on heuristic serialization rounds.

@@ -140,7 +140,7 @@ ReduceIlpResult reduce_ilp_fixed(const TypeContext& ctx, int R,
   result.makespan = static_cast<sched::Time>(std::llround(mip.objective));
   result.achieved_rn =
       sched::register_need(ctx.ddg(), ctx.type(), result.sigma);
-  ExtensionResult ext = extend_by_schedule(ctx, result.sigma, opts.arc_mode);
+  ExtensionResult ext = extend_by_schedule(ctx, result.sigma);
   if (!ext.is_dag && !opts.forbid_circuits) {
     // The witness schedule's extension lost the DAG property (read/write
     // tie circuits, or negative-latency arcs on VLIW). Re-solve with the

@@ -8,10 +8,10 @@
 //     non-empty (free to satisfy whenever |values| >= R, binding otherwise,
 //     which is what drives the decrement loop);
 //   * objective: minimize sigma(⊥);
-//   * for targets with visible write offsets, optional topological-order
-//     variables pi_u plus orientation binaries p_uv forbid solutions whose
-//     Theorem-4.2 extension would contain a (non-positive) circuit — the
-//     paper's O(n^3) constraint block at the end of section 4.
+//   * whenever a witness's Theorem-4.2 extension is cyclic, a re-solve adds
+//     topological-order variables pi_u and orientation binaries p_uv that
+//     forbid such (non-positive) circuits — the paper's O(n^3) constraint
+//     block at the end of section 4.
 // The decrement loop retries with R-1, ..., 1 on infeasibility and reports
 // spilling as unavoidable when R = 1 fails (section 4).
 #pragma once
@@ -28,9 +28,8 @@ struct ReduceIlpOptions {
   bool eliminate_never_alive_pairs = true;
   /// Require each of the R color classes to be used (paper's "exactly Rt").
   bool require_all_colors_used = true;
-  /// Add the O(n^3) topological-sort-existence block (VLIW/EPIC targets).
+  /// Add the O(n^3) topological-sort-existence block up front.
   bool forbid_circuits = false;
-  ArcLatencyMode arc_mode = ArcLatencyMode::General;
   lp::MipOptions mip;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/extension.hpp"
 #include "graph/paths.hpp"
 #include "graph/topo.hpp"
 #include "sched/lifetime.hpp"
@@ -175,7 +176,7 @@ struct Dfs {
       RS_CHECK(sched::is_valid(ctx.ddg(), s));
       const int rn = sched::register_need(ctx.ddg(), ctx.type(), s);
       if (rn > R || rn < rn_target) return false;
-      if (opts.leaf_filter && !opts.leaf_filter(s)) return false;
+      if (opts.acyclic_extension && !extension_is_acyclic(ctx, s)) return false;
       witness = std::move(s);
       found = true;
       return true;

@@ -11,12 +11,10 @@
 // completion: each already-defined value certainly lives until the larger
 // of its already-scheduled reads and the earliest possible issue of its
 // unscheduled consumers, and those forced intervals only grow as the
-// schedule completes. For VLIW targets an optional leaf filter rejects
-// schedules whose Theorem-4.2 arc set would create a circuit (the paper's
-// topological-sort-existence requirement).
+// schedule completes. An optional leaf guard rejects schedules whose
+// Theorem-4.2 arc set would create a circuit (the paper's
+// topological-sort-existence requirement, end of section 4).
 #pragma once
-
-#include <functional>
 
 #include "core/context.hpp"
 #include "sched/schedule.hpp"
@@ -29,9 +27,9 @@ struct SrcOptions {
   /// Extra cycles beyond the critical path explored before giving up on
   /// feasibility (bounds the makespan search).
   sched::Time slack_limit = 64;
-  /// Reject leaves whose induced extension would not admit a topological
-  /// sort (only meaningful when delta_w offsets are visible — VLIW/EPIC).
-  std::function<bool(const sched::Schedule&)> leaf_filter;
+  /// Reject leaves whose Theorem-4.2 extension would not admit a
+  /// topological sort (extension_is_acyclic).
+  bool acyclic_extension = false;
 };
 
 enum class SrcStatus {

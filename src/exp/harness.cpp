@@ -147,16 +147,12 @@ std::vector<ReductionComparison> compare_reduction(
     // The paper's two optimal intLP programs (section 5 uses both): the
     // decrement loop maximizing the reduced saturation, and the minimum
     // critical path over valid extended DDGs. For the latter we take the
-    // best *certified* reduction (minimum over the DAG-guarded witness and
-    // both produced graphs); the unguarded minimum makespan is a proven
-    // lower bound used to flag optimality.
+    // best *certified* reduction: the minimum over the DAG-guarded
+    // minimum-makespan witness and both produced graphs.
     const core::ReduceResult opt = core::reduce_optimal(
         ctx, task.R, ropts, support::SolveContext(opts.time_limit));
     core::SrcOptions msopts = ropts.src;
-    const core::ArcLatencyMode mode = ropts.arc_mode;
-    msopts.leaf_filter = [&ctx, mode](const sched::Schedule& s) {
-      return core::extend_by_schedule(ctx, s, mode).is_dag;
-    };
+    msopts.acyclic_extension = true;
     const core::SrcResult ms = core::SrcSolver(ctx, task.R).minimize_makespan(
         msopts, support::SolveContext(opts.time_limit));
     const core::ReduceResult heur = core::reduce_greedy(

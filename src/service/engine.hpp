@@ -27,11 +27,6 @@
 // resolves its future — the payload reports stop == Cancelled and is
 // excluded from the cache (coalesced waiters of a cancelled owner receive
 // the cancelled payload; a later identical request recomputes).
-//
-// Caveat: Operation::digest_options must cover every option that changes
-// the result. Options that cannot be hashed (e.g. a custom
-// SrcOptions::leaf_filter callback) must not be reachable through a shared
-// engine; callers installing one should use a dedicated engine instance.
 #pragma once
 
 #include <atomic>

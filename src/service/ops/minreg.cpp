@@ -76,8 +76,7 @@ class MinRegOperation final : public Operation {
     for (ddg::RegType t = 0; t < cur.type_count(); ++t) {
       const core::TypeContext ctx(cur, t);
       core::MinRegResult r = core::minimize_register_need(
-          ctx, o.cp_budget, core::SrcOptions{}, core::ArcLatencyMode::General,
-          solve);
+          ctx, o.cp_budget, core::SrcOptions{}, solve);
       out->stats.merge(r.stats);
       data->per_type.push_back(
           TypeMinReg{t, r.min_need, r.proven, r.arcs_added});

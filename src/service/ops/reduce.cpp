@@ -77,7 +77,7 @@ class ReduceOperation final : public Operation {
     d->add(static_cast<std::uint64_t>(o.pipeline.reduce.src.node_limit));
     d->add(static_cast<std::uint64_t>(o.pipeline.reduce.src.slack_limit));
     d->add(static_cast<std::uint64_t>(o.pipeline.reduce.greedy.refine_passes));
-    d->add(static_cast<std::uint64_t>(o.pipeline.reduce.arc_mode));
+    d->add(0);  // retired arc-latency mode slot: keeps persisted disk keys
     d->add(static_cast<std::uint64_t>(o.pipeline.reduce.rs_upper));
     d->add(static_cast<std::uint64_t>(o.pipeline.reduce.max_rounds));
     d->add(o.pipeline.exact_reduction ? 1 : 0);

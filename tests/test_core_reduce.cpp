@@ -86,15 +86,21 @@ TEST(SrcSolver, LexicographicMaximizesRegisterUse) {
 
 // ------------------------------------------------- Theorem 4.2 arcs ----
 
-TEST(Extension, PreservesScheduleAndBoundsRs) {
+struct ScheduledDag {
+  ddg::Ddg ddg;
+  sched::Schedule sigma;
+};
+
+/// Random 10-op superscalar DAGs, each with a random valid schedule (ASAP
+/// plus jitter, then repaired along the arcs).
+std::vector<ScheduledDag> random_scheduled_dags() {
   support::Rng rng(1234);
   const auto model = ddg::superscalar_model();
+  std::vector<ScheduledDag> out;
   for (int trial = 0; trial < 12; ++trial) {
     ddg::RandomDagParams p;
     p.n_ops = 10;
-    const ddg::Ddg d = ddg::random_dag(rng, model, p);
-    const TypeContext ctx(d, kFloatReg);
-    // Random valid schedule.
+    ddg::Ddg d = ddg::random_dag(rng, model, p);
     sched::Schedule s = sched::asap(d);
     for (auto& t : s.time) t += rng.next_int(0, 4);
     for (int round = 0; round < d.op_count(); ++round) {
@@ -102,12 +108,23 @@ TEST(Extension, PreservesScheduleAndBoundsRs) {
         s.time[e.dst] = std::max(s.time[e.dst], s.time[e.src] + e.latency);
       }
     }
+    out.push_back(ScheduledDag{std::move(d), std::move(s)});
+  }
+  return out;
+}
+
+TEST(Extension, PreservesScheduleAndBoundsRs) {
+  const std::vector<ScheduledDag> cases = random_scheduled_dags();
+  for (std::size_t trial = 0; trial < cases.size(); ++trial) {
+    const ddg::Ddg& d = cases[trial].ddg;
+    const sched::Schedule& s = cases[trial].sigma;
+    const TypeContext ctx(d, kFloatReg);
     const int rn = sched::register_need(d, kFloatReg, s);
     const ExtensionResult ext = extend_by_schedule(ctx, s);
     // Read/write tie circuits are possible for arbitrary schedules (the
-    // reduction engines filter such witnesses); skip those trials here.
+    // reduction engines reject such witnesses); skip those trials here.
     if (!ext.is_dag) continue;
-    // sigma remains valid on G-bar (General latency mode).
+    // sigma remains valid on G-bar.
     EXPECT_TRUE(sched::is_valid(ext.extended, s));
     // Theorem 4.2: RS(G-bar) == RN_sigma(G).
     const TypeContext ectx(ext.extended, kFloatReg);
@@ -117,42 +134,19 @@ TEST(Extension, PreservesScheduleAndBoundsRs) {
   }
 }
 
-/// A strictly ordered (sequential-semantics) valid schedule: scale ASAP by
-/// n+1 and break ties by topological rank. No two ops share a cycle, so
-/// Theorem-4.2 extensions cannot create tie circuits.
-sched::Schedule sequentialized_asap(const ddg::Ddg& d) {
-  const auto order = graph::topo_order(d.graph());
-  std::vector<int> rank(d.op_count());
-  for (int i = 0; i < d.op_count(); ++i) rank[(*order)[i]] = i;
-  sched::Schedule s = sched::asap(d);
-  const sched::Time k = d.op_count() + 1;
-  for (ddg::NodeId v = 0; v < d.op_count(); ++v) {
-    s.time[v] = s.time[v] * k + rank[v];
+TEST(Extension, AcyclicityTestAgreesWithBuiltExtension) {
+  // The SRC leaf guard decides acyclicity without building G-bar; it must
+  // accept exactly the schedules whose built extension is a DAG.
+  int cyclic = 0;
+  for (const ScheduledDag& c : random_scheduled_dags()) {
+    for (const ddg::RegType t : {kIntReg, kFloatReg}) {
+      const TypeContext ctx(c.ddg, t);
+      const bool is_dag = extend_by_schedule(ctx, c.sigma).is_dag;
+      EXPECT_EQ(extension_is_acyclic(ctx, c.sigma), is_dag);
+      if (!is_dag) ++cyclic;
+    }
   }
-  return s;
-}
-
-TEST(Extension, PaperStrictModeIsStricter) {
-  const ddg::Ddg d = ddg::matmul_unroll4(ddg::superscalar_model());
-  const TypeContext ctx(d, kFloatReg);
-  const sched::Schedule s = sequentialized_asap(d);
-  ASSERT_TRUE(sched::is_valid(d, s));
-  const ExtensionResult loose = extend_by_schedule(ctx, s, ArcLatencyMode::General);
-  const ExtensionResult strict =
-      extend_by_schedule(ctx, s, ArcLatencyMode::PaperStrict);
-  ASSERT_TRUE(loose.is_dag);
-  ASSERT_TRUE(strict.is_dag);
-  // Strict arcs carry latency 1 instead of 0: critical path can only grow.
-  EXPECT_GE(graph::critical_path(strict.extended.graph()),
-            graph::critical_path(loose.extended.graph()));
-  // Both still bound RS by the witnessed register need.
-  const int rn = sched::register_need(d, kFloatReg, s);
-  for (const ExtensionResult* e : {&loose, &strict}) {
-    const TypeContext ectx(e->extended, kFloatReg);
-    const RsExactResult after = rs_exact(ectx);
-    ASSERT_TRUE(after.proven);
-    EXPECT_LE(after.rs, rn);
-  }
+  EXPECT_GT(cyclic, 0) << "no schedule exercises the reject path";
 }
 
 TEST(Extension, OriginalArcsAllPreserved) {
@@ -244,10 +238,12 @@ TEST(Reduce, SpillNeededWhenOneRegisterImpossible) {
   opts.src.slack_limit = 8;
   const ReduceResult r = reduce_optimal(ctx, 1, opts);
   EXPECT_EQ(r.status, ReduceStatus::SpillNeeded);
+  EXPECT_EQ(r.ilp_loss(), 0);  // G is left as it was
   // The heuristic reaches the same verdict (no candidate serialization can
   // separate two operands of one instruction).
   const ReduceResult h = reduce_greedy(ctx, 1, opts);
   EXPECT_EQ(h.status, ReduceStatus::SpillNeeded);
+  EXPECT_EQ(h.ilp_loss(), 0);
 }
 
 TEST(Reduce, GreedyMatchesOptimalOnEasyCases) {
@@ -357,7 +353,7 @@ TEST(ReduceVliw, ExtensionsStaySchedulableAndAcyclic) {
     ASSERT_EQ(r.status, ReduceStatus::Reduced);
     ASSERT_TRUE(r.extended.has_value());
     // The paper's requirement: the extended DDG admits a topological sort
-    // (leaf filter in the solver enforces it).
+    // (SrcOptions::acyclic_extension in the solver enforces it).
     EXPECT_TRUE(graph::is_dag(r.extended->graph()));
     EXPECT_FALSE(graph::has_positive_circuit(r.extended->graph()));
     const TypeContext ectx(*r.extended, kFloatReg);

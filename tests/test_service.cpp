@@ -442,6 +442,26 @@ TEST(Engine, DifferentOptionsMissSeparately) {
   EXPECT_EQ(test::counter(engine.metrics(), "engine.misses"), 2u);
 }
 
+TEST(Engine, CacheKeysArePinned) {
+  // --cache-dir entries are addressed by request_key, so any change to an
+  // operation's option digest orphans every entry already on disk. These
+  // keys must only change together with a deliberate cache-format bump.
+  const std::pair<const char*, const char*> cases[] = {
+      {"reduce kernel=lin-ddot limits=6,6",
+       "c87b0cf6d6bba7ba0c2541d86636aa41"},
+      {"reduce kernel=lin-ddot limits=6,6 exact=1",
+       "eb718c6b721d820eb2c2c999ae0e6f6b"},
+      {"minreg kernel=lin-ddot",
+       "a3aebef965ad40f3a43edf166a324d11"},
+  };
+  for (const auto& [line, hex] : cases) {
+    const Request req = service::parse_request_line(line, 1);
+    const CacheKey key =
+        service::request_key(req, ddg::fingerprint(req.ddg.normalized()));
+    EXPECT_EQ(key.hex(), hex) << line;
+  }
+}
+
 TEST(Engine, ConcurrentDuplicatesComputeOnce) {
   EngineConfig cfg;
   cfg.threads = 4;
