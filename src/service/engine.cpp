@@ -181,19 +181,21 @@ void AnalysisEngine::drain() {
   pool_.wait_idle();
 }
 
-std::future<Response> AnalysisEngine::submit(Request req) {
+std::future<Response> AnalysisEngine::submit(Request req,
+                                             std::function<void()> on_done) {
   submitted_.inc();
   const std::uint64_t seq = next_seq_++;
   support::CancelToken token = register_flight(seq, req.id);
   auto prom = std::make_shared<std::promise<Response>>();
   std::future<Response> fut = prom->get_future();
   support::Timer started;
-  pool_.submit([this, prom, started, seq, token,
-                req = std::move(req)]() mutable {
-    mark_started(seq);
-    prom->set_value(process(std::move(req), started, token));
-    forget_flight(seq);
-  });
+  pool_.submit(
+      [this, prom, started, seq, token, req = std::move(req)]() mutable {
+        mark_started(seq);
+        prom->set_value(process(std::move(req), started, token));
+        forget_flight(seq);
+      },
+      std::move(on_done));
   return fut;
 }
 

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -201,8 +202,13 @@ class AnalysisEngine {
 
   /// Enqueues a request on the pool; the future resolves to its response.
   /// Never throws through the future: failures come back as payloads with
-  /// ok == false.
-  std::future<Response> submit(Request req) RSAT_EXCLUDES(flights_mu_);
+  /// ok == false. A non-empty `on_done` runs on the worker once the future
+  /// is ready, the request has left the in-flight table (so cancel() no
+  /// longer finds it) and the pool has counted the task (so a metrics
+  /// snapshot taken on the signal sees all of it); it must not throw or
+  /// block.
+  std::future<Response> submit(Request req, std::function<void()> on_done = {})
+      RSAT_EXCLUDES(flights_mu_);
 
   /// Runs a request synchronously on the caller's thread (same cache and
   /// single-flight path as submit()).

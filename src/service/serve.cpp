@@ -1,6 +1,5 @@
 #include "service/serve.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -146,8 +145,8 @@ void SocketServer::accept_new() {
     if (fd == -2) {
       // Accept failed but the connection stays queued (fd exhaustion and
       // the like), so the listener remains readable: stop polling it for
-      // ~1 s instead of busy-spinning poll() at 100% CPU.
-      accept_backoff_ = 50;
+      // about a second instead of busy-spinning poll() at 100% CPU.
+      accept_backoff_.emplace();
       return;
     }
     add_conn(fd, fd);
@@ -211,7 +210,8 @@ void SocketServer::handle_line(Conn& c, const std::string& line) {
       case CommandKind::Submit:
         ++next_id_;
         cmd.request.parse_ms = parse.millis();
-        slot.fut = engine_.submit(std::move(cmd.request));
+        slot.fut = engine_.submit(std::move(cmd.request),
+                                  [wake = &wake_] { wake->signal(); });
         requests_.inc();
         break;
       case CommandKind::Cancel:
@@ -389,7 +389,15 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
   }
   for (const int fd : borrowed_fds_) support::set_nonblocking(fd);
   bool draining = false;
+  std::vector<pollfd> fds;
+  std::vector<Conn*> polled;
   for (;;) {
+    // The timeout only paces should_stop. Zero when nothing new needs to
+    // arrive for the loop to make progress: a stream holds a line it may
+    // take, or the drain starts (streams with nothing left are reaped at
+    // once). Lines held behind the slot cap or a drain wait for the
+    // completion wake or POLLOUT that frees them.
+    int timeout_ms = 20;
     if (!draining &&
         (stop_.load() || (should_stop && should_stop()))) {
       // Cancel-drain-shutdown: no new connections or lines; every
@@ -402,22 +410,23 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
       // before SIGINT still deserves the full grace to consume its
       // pending results.
       for (auto& cp : conns_) cp->last_progress.reset();
+      timeout_ms = 0;
     }
 
-    std::vector<pollfd> fds;
-    std::vector<Conn*> polled;
-    if (accept_backoff_ > 0) --accept_backoff_;
-    if (listener_ && !draining && accept_backoff_ == 0) {
+    // fds[0] is the wake handle: a finished solve (or shutdown()) ends the
+    // poll at once. Entries with a null Conn are the wake handle and the
+    // listener.
+    fds.clear();
+    polled.clear();
+    fds.push_back(pollfd{wake_.fd(), POLLIN, 0});
+    polled.push_back(nullptr);
+    if (accept_backoff_ && accept_backoff_->seconds() >= 1.0) {
+      accept_backoff_.reset();
+    }
+    if (listener_ && !draining && !accept_backoff_) {
       fds.push_back(pollfd{listener_->fd(), POLLIN, 0});
       polled.push_back(nullptr);
     }
-    // Short timeout: the poll also doubles as the future-completion sweep,
-    // so a resolved solve waits at most ~20 ms before its line goes out.
-    // Zero when a stream already holds a line it may take (nothing new
-    // needs to arrive for the loop to make progress), 1 ms while its held
-    // lines wait on earlier answers (the slot cap or a drain; batch's stdin
-    // typically runs that far ahead of the solves).
-    int timeout_ms = 20;
     for (auto& cp : conns_) {
       Conn& c = *cp;
       const bool reading = !draining && !c.closed_read;
@@ -436,15 +445,17 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
         fds.push_back(pollfd{c.out_fd, POLLOUT, 0});
         polled.push_back(&c);
       }
-      if (!draining && !c.discard_input && c.has_line()) {
-        timeout_ms = std::min(timeout_ms, accepts_line(c) ? 0 : 1);
+      if (!draining && !c.discard_input && accepts_line(c) && c.has_line()) {
+        timeout_ms = 0;
       }
     }
 
-    ::poll(fds.empty() ? nullptr : fds.data(),
-           static_cast<nfds_t>(fds.size()), timeout_ms);
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
 
-    for (std::size_t i = 0; i < fds.size(); ++i) {
+    // Drained before the sweep below, so every future whose completion
+    // signal it consumed is seen ready there.
+    if (fds[0].revents & POLLIN) wake_.drain();
+    for (std::size_t i = 1; i < fds.size(); ++i) {
       if (polled[i] == nullptr) {
         if (fds[i].revents & POLLIN) accept_new();
         continue;

@@ -8,7 +8,9 @@
 // server keeps an ordered queue of response slots (a pre-rendered
 // ack/error line, or the future of a submitted request) and writes result
 // lines back in request order as each future resolves — an interactive
-// client sees its result as soon as it is ready, not at end of input.
+// client sees its result as soon as it is ready, not at end of input. A
+// worker that finishes a solve signals the loop's wake handle, so the
+// result leaves at once instead of at the next poll timeout.
 //
 // Protocol semantics (identical for every stream):
 //  * analyze/reduce lines submit to the engine; unset id= takes a
@@ -31,8 +33,9 @@
 //  * end of input: a stream whose peer closed its write side is closed
 //    once every complete line it sent has been answered and flushed.
 //
-// Shutdown (shutdown() from any thread, or the should_stop poll — wired
-// to SIGINT by rsat serve and rsat batch): stop accepting and reading,
+// Shutdown (shutdown() from any thread, which wakes the loop at once, or
+// the should_stop poll — wired to SIGINT by rsat serve and rsat batch, and
+// read every ~20 ms): stop accepting and reading,
 // cooperatively cancel every in-flight solve, flush every pending result
 // line (stop=cancelled), then close all connections and return from run().
 // Peers that stop reading are given kDrainGraceSeconds before their
@@ -53,6 +56,7 @@
 #include "service/protocol.hpp"
 #include "service/trace.hpp"
 #include "support/socket.hpp"
+#include "support/timer.hpp"
 
 namespace rs::service {
 
@@ -112,14 +116,20 @@ class SocketServer {
   int port() const { return listener_ ? listener_->port() : 0; }
   AnalysisEngine& engine() { return engine_; }
 
-  /// Serves until shutdown() is called or `should_stop` (polled every
-  /// loop iteration, ~20 ms) returns true, then performs the
-  /// cancel-drain-close sequence described above. A stream server also
-  /// returns once its stream is answered to the end. Call from one thread.
+  /// Serves until shutdown() is called or `should_stop` returns true, then
+  /// performs the cancel-drain-close sequence described above. A stream
+  /// server also returns once its stream is answered to the end. Call from
+  /// one thread. The loop sleeps in poll(2) until a stream is ready, a
+  /// solve finishes or shutdown() is called; `should_stop` is read every
+  /// loop iteration and at least every ~20 ms, so a SIGINT-driven stop
+  /// (which cannot signal the wake handle) starts within one such tick.
   void run(const std::function<bool()>& should_stop = {});
 
-  /// Thread-safe: makes run() begin its drain-and-exit sequence.
-  void shutdown() { stop_.store(true); }
+  /// Thread-safe: makes run() begin its drain-and-exit sequence at once.
+  void shutdown() {
+    stop_.store(true);
+    wake_.signal();
+  }
 
   /// Non-null when ServeConfig::trace_file is set.
   const TraceSink* trace_sink() const { return trace_sink_.get(); }
@@ -131,10 +141,12 @@ class SocketServer {
   // stream state (conns_, each Conn's buffers and slot queue, next_id_,
   // accept_backoff_) is owned by the single thread inside run(); the only
   // cross-thread channels are stop_ (an atomic flag set by shutdown()),
-  // the engine's futures (resolved on pool workers, only *read* here), and
-  // the lock-free metric references below. Adding a second network thread
-  // means introducing support::Mutex + RSAT_GUARDED_BY here first — do not
-  // reach for a bare std::mutex (lint rule `bare-mutex`).
+  // the engine's futures (resolved on pool workers, only *read* here), the
+  // wake handle wake_ (signalled by pool workers after each future is set
+  // and by shutdown(); drained only here, before the futures are swept),
+  // and the lock-free metric references below. Adding a second network
+  // thread means introducing support::Mutex + RSAT_GUARDED_BY here first —
+  // do not reach for a bare std::mutex (lint rule `bare-mutex`).
 
   void add_conn(int fd, int out_fd);
   void accept_new();
@@ -153,6 +165,9 @@ class SocketServer {
   std::string render_slo_fields() const;
 
   ServeConfig cfg_;
+  /// Declared before engine_: the engine's destructor waits for its
+  /// workers, whose completion hooks signal this handle.
+  support::WakeFd wake_;
   AnalysisEngine engine_;
   std::optional<support::ListenSocket> listener_;  // empty: stream server
   /// The stream server's caller-owned fds (in, out); never closed here.
@@ -160,9 +175,10 @@ class SocketServer {
   std::unique_ptr<TraceSink> trace_sink_;
   std::atomic<bool> stop_{false};
   std::uint64_t next_id_ = 1;
-  /// Loop iterations left to skip polling the listener after an accept
-  /// failure that leaves the connection queued (e.g. fd exhaustion).
-  int accept_backoff_ = 0;
+  /// Started by an accept failure that leaves the connection queued (e.g.
+  /// fd exhaustion); the listener stays out of the poll set until it reads
+  /// one second, whatever wakes the loop in between.
+  std::optional<support::Timer> accept_backoff_;
   std::vector<std::unique_ptr<Conn>> conns_;
 
   // serve.* registry entries (registered in the engine's registry so the

@@ -1,6 +1,7 @@
 #include "support/socket.hpp"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "support/assert.hpp"
@@ -99,6 +100,50 @@ int ListenSocket::accept_client() {
   return fd;
 }
 
+WakeFd::WakeFd() {
+  int p[2];
+  if (::pipe(p) != 0) fail("pipe");
+  read_fd_ = p[0];
+  write_fd_ = p[1];
+  if (!set_nonblocking(read_fd_) || !set_nonblocking(write_fd_)) {
+    const int saved = errno;
+    ::close(read_fd_);
+    ::close(write_fd_);
+    errno = saved;
+    fail("self-pipe O_NONBLOCK");
+  }
+}
+
+WakeFd::~WakeFd() {
+  close_fd(write_fd_);
+  close_fd(read_fd_);
+}
+
+void WakeFd::signal() {
+  // acq_rel: the drain's exchange reads this RMW (or a later one in the
+  // same release sequence), so what the signaller did before it is visible
+  // to the drainer.
+  if (pending_.exchange(true, std::memory_order_acq_rel)) return;
+  const char one = 1;
+  const ssize_t n = ::write(write_fd_, &one, 1);
+  static_cast<void>(n);  // a failed write leaves an unread wake: still armed
+}
+
+void WakeFd::drain() {
+  // Read before clearing: a signal landing between the two skips its
+  // write, but the exchange below makes its work visible to this caller;
+  // one landing after the clear writes again. Clearing first could consume
+  // a fresh write and leave pending_ set over an empty fd, swallowing
+  // every later signal. Only a false->true flip writes, so one read
+  // normally empties the pipe; a byte written late by a signaller that
+  // flipped the flag before the previous clear only costs one spurious
+  // wake.
+  char buf[64];
+  const ssize_t n = ::read(read_fd_, buf, sizeof buf);
+  static_cast<void>(n);  // EAGAIN: nothing pending
+  pending_.exchange(false, std::memory_order_acq_rel);
+}
+
 int connect_tcp(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) fail("socket");
@@ -162,6 +207,13 @@ long recv_some(int fd, std::string* out) {
 
 bool set_nonblocking(int) { return false; }
 void close_fd(int) {}
+
+WakeFd::WakeFd() {
+  RS_REQUIRE(false, "poll wake handles are not supported on this platform");
+}
+WakeFd::~WakeFd() = default;
+void WakeFd::signal() {}
+void WakeFd::drain() {}
 
 ListenSocket::ListenSocket(const std::string&, int) {
   RS_REQUIRE(false, "TCP sockets are not supported on this platform");

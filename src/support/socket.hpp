@@ -6,16 +6,52 @@
 //
 // Everything here is deliberately poll-friendly: the listener, every
 // accepted connection and, for the duration of one run, the caller's
-// stdin/stdout are O_NONBLOCK, so the loop multiplexes all of them plus a
-// periodic future-completion sweep with a single poll(2) and never blocks
-// on a slow peer. Unsupported platforms fail loudly at construction
-// (RS_REQUIRE), not at first use.
+// stdin/stdout are O_NONBLOCK, and a WakeFd lets other threads (solver
+// workers finishing a request, shutdown()) interrupt the wait, so the loop
+// multiplexes all of them with a single poll(2) and never blocks on a slow
+// peer. Unsupported platforms fail loudly at construction (RS_REQUIRE), not
+// at first use.
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <string_view>
 
 namespace rs::support {
+
+/// A pollable wake-up handle, built on a non-blocking self-pipe: signal()
+/// from any thread makes fd() readable until drain(). Signals coalesce:
+/// however many arrive between two drains, only the first writes to the
+/// pipe, so a wave of them costs one write and one read. No signal is
+/// lost: one that races a drain is either covered by that drain or makes
+/// fd() readable again after it.
+class WakeFd {
+ public:
+  /// Throws support::PreconditionError when the fd cannot be created.
+  WakeFd();
+  ~WakeFd();
+
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  /// Poll this for POLLIN.
+  int fd() const { return read_fd_; }
+
+  /// Thread-safe; never blocks. Makes fd() readable unless a wake is
+  /// already pending.
+  void signal();
+
+  /// Consumes the pending wake (if any), then re-arms signal(). Call from
+  /// the polling thread before it looks at whatever the signals announce:
+  /// everything a signaller did before a signal that this drain consumed
+  /// or coalesced is then visible to it.
+  void drain();
+
+ private:
+  int read_fd_ = -1;
+  int write_fd_ = -1;
+  std::atomic<bool> pending_{false};
+};
 
 /// Non-blocking TCP listener. Binding port 0 picks an ephemeral port;
 /// port() reports the actual one. Closes the socket on destruction.

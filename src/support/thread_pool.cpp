@@ -34,10 +34,11 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(std::function<void()> task,
+                        std::function<void()> on_done) {
   {
     LockGuard lock(mutex_);
-    queue_.push(Task{std::move(task), Timer{}});
+    queue_.push(Task{std::move(task), Timer{}, std::move(on_done)});
     ++in_flight_;
   }
   if (queue_depth_ != nullptr) queue_depth_->add(1);
@@ -47,7 +48,7 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::submit_nested(std::function<void()> task) {
   {
     LockGuard lock(mutex_);
-    nested_.push_back(Task{std::move(task), Timer{}});
+    nested_.push_back(Task{std::move(task), Timer{}, {}});
     ++in_flight_;
   }
   if (queue_depth_ != nullptr) queue_depth_->add(1);
@@ -126,6 +127,7 @@ void ThreadPool::run_task(Task task) {
   if (active_ != nullptr) active_->sub(1);
   if (task_ms_ != nullptr) task_ms_->observe(run.millis());
   if (tasks_done_ != nullptr) tasks_done_->inc();
+  if (task.on_done) task.on_done();
   {
     LockGuard lock(mutex_);
     --in_flight_;

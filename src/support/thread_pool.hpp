@@ -53,7 +53,10 @@ class ThreadPool {
   std::size_t thread_count() const { return workers_.size(); }
 
   /// Enqueues a task. Tasks must not throw; wrap fallible work yourself.
-  void submit(std::function<void()> task) RSAT_EXCLUDES(mutex_);
+  /// A non-empty `on_done` runs on the same worker after the task and its
+  /// pool.* accounting, before wait_idle() can return; it must not throw.
+  void submit(std::function<void()> task, std::function<void()> on_done = {})
+      RSAT_EXCLUDES(mutex_);
 
   /// Enqueues a task spawned from inside a running task. Nested tasks are
   /// drained ahead of top-level ones and are eligible for try_run_one(), so
@@ -78,6 +81,7 @@ class ThreadPool {
   struct Task {
     std::function<void()> fn;
     Timer queued;  // started at submit; read at pickup for queue_wait_ms
+    std::function<void()> on_done;
   };
 
   void worker_loop() RSAT_EXCLUDES(mutex_);

@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ddg/canon.hpp"
 #include "ddg/generators.hpp"
 #include "ddg/io.hpp"
 #include "service/operation.hpp"
@@ -336,6 +338,41 @@ TEST(Serve, MalformedLineAnswersErrorAndConnectionSurvives) {
   EXPECT_EQ(ok.at("status"), "ok");
   EXPECT_EQ(test::counter(server->engine().metrics(), "serve.parse_errors"),
             1u);
+}
+
+TEST(Serve, ResultLeavesWhenItsSolveFinishes) {
+  // One outstanding request at a time, each a cache miss that greedy
+  // answers in well under a millisecond: the loop must learn of each
+  // completion from its wake handle, not from a poll timeout (which would
+  // add a ~20 ms tick per request, about a second for the 50). What is
+  // timed is each answer's wait beyond its own solve (client latency minus
+  // the line's ms=), so a slow build or a loaded box slows the solves
+  // without eating into the bound.
+  std::vector<std::string> lines;
+  std::set<std::string> seen;
+  for (std::uint64_t seed = 1; lines.size() < 50; ++seed) {
+    support::Rng rng(seed);
+    ddg::LayeredDagParams p;
+    p.layers = 3;
+    p.min_width = 2;
+    p.max_width = 4;
+    const ddg::Ddg g = ddg::random_layered(rng, ddg::superscalar_model(), p);
+    if (!seen.insert(ddg::fingerprint(g).hex()).second) continue;
+    lines.push_back("analyze engine=greedy ddg=" +
+                    service::escape_field(ddg::to_text(g)) + "\n");
+  }
+  ServerFixture server;
+  LineClient client(server->port());
+  double wait_ms = 0;
+  for (const std::string& line : lines) {
+    const support::Timer latency;
+    client.send(line);
+    const auto fields = service::parse_fields(client.next_line());
+    ASSERT_EQ(fields.at("status"), "ok");
+    EXPECT_EQ(fields.at("cached"), "0");
+    wait_ms += latency.millis() - std::stod(fields.at("ms"));
+  }
+  EXPECT_LT(wait_ms, 500.0);
 }
 
 TEST(Serve, ConnectionsShareTheEngineCache) {

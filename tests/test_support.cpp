@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
+#endif
+
 #include <atomic>
 #include <set>
 #include <thread>
@@ -7,7 +11,9 @@
 
 #include "support/assert.hpp"
 #include "support/bitset.hpp"
+#include "support/metrics.hpp"
 #include "support/random.hpp"
+#include "support/socket.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -236,6 +242,74 @@ TEST(ThreadPool, TryRunOneOnlyTakesNestedTasks) {
   pool.wait_idle();
   EXPECT_EQ(top.load(), 11);
 }
+
+TEST(ThreadPool, OnDoneRunsAfterTheTaskIsCounted) {
+  // The serve loop renders a metrics scrape as soon as a request's on_done
+  // wakes it, so that scrape must already count the task; and wait_idle()
+  // covers on_done, so nothing it touches is torn down under it.
+  MetricsRegistry metrics;
+  ThreadPool pool(1, &metrics);
+  std::atomic<std::uint64_t> tasks{0};
+  std::atomic<std::int64_t> active{-1};
+  pool.submit([] {},
+              [&] {
+                tasks = metrics.counter("pool.tasks").value();
+                active = metrics.gauge("pool.active").value();
+              });
+  pool.wait_idle();
+  EXPECT_EQ(tasks.load(), 1u);
+  EXPECT_EQ(active.load(), 0);
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+bool readable(const WakeFd& wake, int timeout_ms) {
+  pollfd p = {wake.fd(), POLLIN, 0};
+  return ::poll(&p, 1, timeout_ms) == 1 && (p.revents & POLLIN) != 0;
+}
+
+TEST(WakeFd, SignalsCoalesceIntoOneWakeUntilDrained) {
+  WakeFd wake;
+  EXPECT_FALSE(readable(wake, 0));
+  wake.signal();
+  wake.signal();
+  EXPECT_TRUE(readable(wake, 0));
+  wake.drain();  // one drain consumes both signals
+  EXPECT_FALSE(readable(wake, 0));
+  wake.signal();  // re-armed
+  EXPECT_TRUE(readable(wake, 0));
+  wake.drain();
+  EXPECT_FALSE(readable(wake, 0));
+}
+
+TEST(WakeFd, NoSignalIsLostAcrossThreads) {
+  // Producers publish work then signal; the drainer drains before it
+  // looks. Were a signal lost, the last batch of work would sit unseen and
+  // the bounded poll below would time out.
+  constexpr int kThreads = 4;
+  constexpr int kEach = 2000;
+  WakeFd wake;
+  std::atomic<int> done{0};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&] {
+      for (int i = 0; i < kEach; ++i) {
+        done.fetch_add(1, std::memory_order_relaxed);
+        wake.signal();
+      }
+    });
+  }
+  int seen = 0;
+  bool lost = false;
+  while (seen < kThreads * kEach && !lost) {
+    lost = !readable(wake, 10000);
+    wake.drain();
+    seen = done.load(std::memory_order_relaxed);
+  }
+  for (auto& p : producers) p.join();
+  EXPECT_FALSE(lost) << "no wake after " << seen << " of "
+                     << kThreads * kEach;
+}
+#endif
 
 }  // namespace
 }  // namespace rs::support
