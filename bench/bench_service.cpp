@@ -36,12 +36,6 @@
 #include "ddg/generators.hpp"
 #include "ddg/kernels.hpp"
 #include "service/engine.hpp"
-#include "service/ops/analyze.hpp"
-#include "service/ops/globalrs.hpp"
-#include "service/ops/minreg.hpp"
-#include "service/ops/reduce.hpp"
-#include "service/ops/schedule.hpp"
-#include "service/ops/spill.hpp"
 #include "service/protocol.hpp"
 #include "service/trace.hpp"
 #include "support/fs.hpp"
@@ -64,10 +58,10 @@ std::vector<Request> corpus_batch(int repeats) {
   std::uint64_t id = 1;
   for (int r = 0; r < repeats; ++r) {
     for (const auto& [name, dag] : corpus) {
-      Request a = rs::service::make_analyze_request(dag);
+      Request a = rs::service::make_request("analyze", dag);
       a.id = id++;
       batch.push_back(std::move(a));
-      Request red = rs::service::make_reduce_request(dag, {16, 16});
+      Request red = rs::service::make_request("reduce limits=16,16", dag);
       red.id = id++;
       batch.push_back(std::move(red));
     }
@@ -165,9 +159,9 @@ void BM_NewOpsWarm(benchmark::State& state) {
   const auto dag =
       rs::ddg::build_kernel("lin-ddot", rs::ddg::superscalar_model());
   std::vector<Request> batch;
-  batch.push_back(rs::service::make_minreg_request(dag));
-  batch.push_back(rs::service::make_spill_request(dag, {2, 2}));
-  batch.push_back(rs::service::make_schedule_request(dag));
+  batch.push_back(rs::service::make_request("minreg", dag));
+  batch.push_back(rs::service::make_request("spill limits=2,2", dag));
+  batch.push_back(rs::service::make_request("schedule", dag));
   drain(engine, batch);  // populate the cache
   for (auto _ : state) {
     for (const Request& req : batch) {
@@ -185,7 +179,8 @@ BENCHMARK(BM_NewOpsWarm)->Unit(benchmark::kMicrosecond);
 void BM_GlobalRsCold(benchmark::State& state) {
   std::vector<Request> batch;
   for (const std::string& name : rs::cfg::program_names()) {
-    batch.push_back(rs::service::make_globalrs_request(
+    batch.push_back(rs::service::make_request(
+        "globalrs",
         std::make_shared<rs::cfg::Cfg>(
             rs::cfg::build_program(name, rs::ddg::superscalar_model()))));
   }
@@ -202,7 +197,8 @@ void BM_GlobalRsWarm(benchmark::State& state) {
   AnalysisEngine engine(EngineConfig{});
   std::vector<Request> batch;
   for (const std::string& name : rs::cfg::program_names()) {
-    batch.push_back(rs::service::make_globalrs_request(
+    batch.push_back(rs::service::make_request(
+        "globalrs",
         std::make_shared<rs::cfg::Cfg>(
             rs::cfg::build_program(name, rs::ddg::superscalar_model()))));
   }
@@ -231,7 +227,8 @@ void BM_CancellationDrain(benchmark::State& state) {
     p.min_width = 4;
     p.max_width = 6;
     p.edge_prob = 0.8;
-    Request req = rs::service::make_analyze_request(
+    Request req = rs::service::make_request(
+        "analyze",
         rs::ddg::random_layered(rng, rs::ddg::superscalar_model(), p));
     req.id = id;
     req.budget_seconds = 0.25;
@@ -331,7 +328,8 @@ int run_curated_json(const std::string& out_path) {
   const std::vector<Request> corpus = corpus_batch(1);
   std::vector<Request> programs;
   for (const std::string& name : rs::cfg::program_names()) {
-    programs.push_back(rs::service::make_globalrs_request(
+    programs.push_back(rs::service::make_request(
+        "globalrs",
         std::make_shared<rs::cfg::Cfg>(
             rs::cfg::build_program(name, rs::ddg::superscalar_model()))));
   }

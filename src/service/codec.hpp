@@ -21,13 +21,16 @@
 //
 //    The generic header (ok/kind/success/stop/solver counters/err=) and
 //    trailer (ddg= when the payload carries output-DDG text, then a final
-//    eol=2 sentinel) bracket the operation's own fields, written and read
-//    back by the service::Operation named in kind= — the registry
-//    (service/operation.hpp) is consulted on decode, so this file knows no
-//    operation specifics. Entry-count keys (na=/nr=/nm=/...) inside the op
-//    fields plus the eol=2 sentinel make truncation anywhere — including
-//    inside the last variable-length value — detectable. Values that may
-//    contain whitespace (ddg=, err=) use the protocol's %XX escaping.
+//    eol=2 sentinel) bracket the operation's own fields, which the field
+//    interpreter here writes and reads back from the result schema of the
+//    operation named in kind= (service/operation.hpp): one " <prefix><i>="
+//    entry per row, its key and cells colon-joined in column order, counted
+//    by the schema's count key, then the schema's scalars. The registry is
+//    consulted on decode, so this file knows no operation specifics. The
+//    entry count plus the eol=2 sentinel make truncation anywhere —
+//    including inside the last variable-length value — detectable. Values
+//    that may contain whitespace (ddg=, err=) use the protocol's %XX
+//    escaping.
 //
 //    Decoding is forward-compatible: tokens with unknown keys are skipped,
 //    so a newer writer may append fields without breaking this reader.
@@ -37,12 +40,10 @@
 //    (never a crash, never a poisoned payload).
 #pragma once
 
-#include <functional>
-#include <map>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "service/engine.hpp"
 
@@ -64,44 +65,11 @@ std::shared_ptr<const ResultPayload> decode_payload(std::string_view text);
 
 /// The payload-derived tail of a protocol result line, starting with a
 /// leading space: " stop=<c> nodes=<n>" then the operation's result fields
-/// (+ " ddg=<escaped>" when include_ddg and the payload carries output-DDG
-/// text). Error payloads render as " msg=<escaped>".
+/// as its result schema lays them out (+ " ddg=<escaped>" when include_ddg
+/// and the payload carries output-DDG text). Error payloads render as
+/// " msg=<escaped>".
+void render_payload_fields(const ResultPayload& p, bool include_ddg,
+                           std::ostream& os);
 std::string render_payload_fields(const ResultPayload& p, bool include_ddg);
-
-// --------------------------------------------------------------------------
-// Helpers for Operation::encode_payload_fields / decode_payload_fields
-// implementations (service/ops/*.cpp). All throw support::PreconditionError
-// on malformed input; decode_payload() maps that to a miss.
-
-/// Splits "a:b:c" on ':' — entry fields never contain ':' (all numeric or
-/// status tokens), so no escaping is needed inside entries.
-std::vector<std::string> split_colon(const std::string& s);
-
-/// The value of a required integer field; throws when absent or malformed.
-long long require_ll(const std::map<std::string, std::string>& fields,
-                     const char* key);
-
-/// The value of a required 0|1 field; throws when absent or out of range.
-bool require_flag(const std::map<std::string, std::string>& fields,
-                  const char* key);
-
-/// Writes the shared entry-list scheme: " <count_key>=N" then one
-/// " <prefix><i>=" token per entry, whose colon-joined value is streamed
-/// by `entry(i, os)`. The count key is what makes truncation of a
-/// fixed-arity entry list detectable.
-void encode_entries(std::ostream& os, const char* count_key,
-                    const char* prefix, std::size_t count,
-                    const std::function<void(std::size_t, std::ostream&)>&
-                        entry);
-
-/// Reads the scheme back: validates the count (0..4096), looks up each
-/// " <prefix><i>=" token, splits on ':' and checks `arity`, then hands the
-/// parts to `entry`. Throws support::PreconditionError on any violation
-/// (decode_payload() maps that to a miss).
-void decode_entries(const std::map<std::string, std::string>& fields,
-                    const char* count_key, const char* prefix,
-                    std::size_t arity,
-                    const std::function<void(const std::vector<std::string>&)>&
-                        entry);
 
 }  // namespace rs::service

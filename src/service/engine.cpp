@@ -100,7 +100,7 @@ CacheKey request_key(const Request& req, const ddg::Fingerprint& fp) {
   OptionDigest d;
   d.add(req.op->digest_tag());
   d.add_double(req.budget_seconds);
-  req.op->digest_options(req, &d);
+  digest_options(req, &d);
   return ddg::extend(fp, d.value());
 }
 

@@ -79,9 +79,10 @@ struct Request {
   /// Display name in responses; defaults to the program's or DDG's own
   /// name when empty.
   std::string name;
-  /// Operation-specific options parsed by Operation::parse_options; null
-  /// means the operation's defaults.
-  std::shared_ptr<const OpOptions> options;
+  /// The operation's option values, one per OpSpec::options row, filled
+  /// by parse_options() (service/operation.hpp); empty means the
+  /// operation's defaults.
+  std::vector<OptionValue> options;
   /// > 0 bounds this request's *total* solve time: one SolveContext with
   /// this deadline is threaded through every solver layer (per-type budget
   /// splitting included). <= 0 selects the engine default
@@ -118,7 +119,7 @@ struct ResultPayload {
   /// Output DDG text for operations that emit a transformed DAG (reduce,
   /// minreg, spill); empty otherwise.
   std::string out_ddg;
-  /// Operation-specific result data (see the op's header in service/ops/).
+  /// Operation result data, laid out by the operation's result schema.
   std::shared_ptr<const OpData> data;
   /// Aggregate solver statistics (nodes, prunes, stop cause) for the
   /// request. stop == Cancelled payloads are never admitted to the cache.
@@ -333,7 +334,7 @@ class AnalysisEngine {
 
 /// The cache key for a request: canonical fingerprint of the normalized DDG
 /// extended with a digest of the operation tag, budget and the operation's
-/// option digest (Operation::digest_options). Exposed for tests and for
+/// option digest (digest_options()). Exposed for tests and for
 /// future remote/persistent cache tiers.
 CacheKey request_key(const Request& req, const ddg::Fingerprint& fp);
 

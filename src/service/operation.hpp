@@ -1,13 +1,16 @@
 // The operation registry: the service request API's extension point.
 //
-// A service::Operation packages one workload end-to-end — protocol option
-// parsing, cache-fingerprint digesting, execution under a SolveContext,
-// payload encoding for the disk tier, and result-line rendering — behind
-// one interface, registered by name in a process-wide registry. The
-// protocol parser, the engine, the payload codec, and (through them) the
-// batch/serve front ends consult the registry instead of switching on a
-// request-kind enum, so the service spine is operation-agnostic: adding a
-// workload means adding one src/service/ops/<name>.cpp and listing it in
+// A service::Operation packages one workload end-to-end behind one
+// declarative table (OpSpec) plus its run(). The table declares, once each,
+// the operation's request options (name, kind, default, bounds and cache-key
+// digest slot) and its result schema (row key, typed columns, scalars). One
+// shared interpreter serves every table: the option half (parse, digest,
+// synopsis) lives in operation.cpp, the field half (rsres encode/decode and
+// the result-line render) in codec.cpp. The protocol parser, the engine,
+// the payload codec, and (through them) the batch/serve front ends consult
+// the registry instead of switching on a request-kind enum, so the service
+// spine is operation-agnostic: adding a workload means adding one
+// src/service/ops/<name>.cpp (its table and its run()) and listing it in
 // builtin_operations() (src/service/ops/register.cpp). engine.cpp,
 // store.cpp and serve.cpp need no edits.
 //
@@ -18,18 +21,17 @@
 //    fingerprints, so a cached payload is served to *isomorphic* inputs
 //    (renumbered/renamed copies of the same DAG); a node index minted
 //    against the first requester's numbering would be meaningless to them.
-//  * encode_payload_fields()/decode_payload_fields() round-trip exactly:
-//    decode(encode(p)) renders byte-identically to p, which is what keeps
-//    result lines stable across the memory and disk store tiers.
-//  * digest_tag() and name() are unique across the registry (checked at
-//    registration), and digest_tag() is *stable across releases* — it is
-//    mixed into persistent cache keys, so changing it orphans every disk
-//    entry the operation ever wrote.
+//  * The digest_tag and name are unique across the registry (checked at
+//    registration), and the digest_tag and the option digest slots are
+//    *stable across releases* — they are mixed into persistent cache keys,
+//    so changing them orphans every disk entry the operation ever wrote.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -64,24 +66,140 @@ struct RunEnv {
 /// declared payload being present.
 enum class PayloadKind { Ddg, Program };
 
-/// Base of the per-operation request-options box (Request::options).
-/// Operations define a subclass holding their parsed option values; a null
-/// box means "this operation's defaults".
-struct OpOptions {
-  virtual ~OpOptions() = default;
+// --------------------------------------------------------------------------
+// Options
+
+enum class OptionKind {
+  Count,      // integer in [min, max]: "<n>"
+  Limits,     // one or more per-type register limits: "<n>[,<n>...]"
+  Flag,       // "0|1"
+  Engine,     // RS engine "greedy|exact|ilp" (portfolio = exact), stored as
+              // its core::RsEngine value
+  ExactOnly,  // "exact" (or its alias portfolio); selects nothing
+  Emit,       // "0|1" into Request::want_ddg; never digested
 };
 
-/// Base of the per-operation result-data box (ResultPayload::data).
-/// Subclasses hold only renumbering-invariant data (see header comment).
+/// The option is not part of the cache key.
+inline constexpr int kNotDigested = -1;
+
+struct OptionSpec {
+  std::string_view name{};
+  OptionKind kind = OptionKind::Count;
+  bool required = false;
+  long long def = 0;  // value when absent (Count, Flag, Engine)
+  long long min = 0;  // Count bounds
+  long long max = std::numeric_limits<int>::max();
+  /// Position in the digest sequence (kNotDigested: none). Scalars mix in
+  /// their value; Limits mix in the count, then each limit + 1.
+  int digest_slot = kNotDigested;
+  /// Mix in value + 1, and only when the value differs from `def`: an
+  /// option added after the cache format froze, so requests that leave it
+  /// at its default keep their older keys.
+  bool digest_if_not_default = false;
+};
+
+/// A constant word of the digest sequence: a core default or retired slot
+/// the pre-table digest mixed in, kept so persisted keys stay addressable.
+struct DigestWord {
+  int slot = 0;
+  long long value = 0;  // mixed in as its uint64_t bit pattern
+};
+
+/// One parsed option value, in OpSpec::options order.
+struct OptionValue {
+  long long value = 0;
+  std::vector<int> list;  // Limits only
+};
+
+// --------------------------------------------------------------------------
+// Result schema
+
+/// A row is keyed `t<type>` or `b<block>.t<type>` in result lines.
+enum class RowKey { Type, BlockType };
+
+enum class CellKind {
+  Int,
+  Flag,    // 0|1
+  Status,  // core::ReduceStatus value, spelled fits|reduced|spill|limit
+};
+
+/// One column: its result-line key. Its codec position is its index (after
+/// the row key) in the colon-joined rsres entry.
+struct Column {
+  std::string_view key{};
+  CellKind kind = CellKind::Int;
+};
+
+/// A per-payload integer: encoded as " <codec_key>=<v>" after the entries,
+/// rendered as " <line_key>=<v>" before or after the rows.
+struct Scalar {
+  std::string_view codec_key{};
+  std::string_view line_key{};
+  bool before_rows = false;
+};
+
+struct ResultSchema {
+  std::string_view count_key{};     // rsres entry count, e.g. "na"
+  std::string_view entry_prefix{};  // rsres entry keys <prefix><i>, e.g. "a"
+  RowKey row_key = RowKey::Type;
+  std::vector<Column> columns{};
+  std::vector<Scalar> scalars{};
+  /// Grandfathered empty entry counts (" <key>=0") written before/after
+  /// the entries and required to read 0, so records stay byte-identical to
+  /// those of the writer that gave every kind both analyze/reduce counts.
+  std::string_view zero_count_before{};
+  std::string_view zero_count_after{};
+  /// Render " success=0|1" first — even for data-free payloads, which
+  /// render nothing else.
+  bool renders_success = false;
+};
+
+/// An operation's declarative table.
+struct OpSpec {
+  /// Protocol command token, `kind=` token in result lines, and `kind=`
+  /// value in encoded payloads. Lowercase, no whitespace.
+  std::string_view name{};
+  /// Stable 64-bit tag mixed into the cache fingerprint ahead of the
+  /// option digest. Unique per operation, never reused, never changed.
+  std::uint64_t digest_tag = 0;
+  PayloadKind payload = PayloadKind::Ddg;
+  /// Option tokens forming a valid request for any two-type corpus kernel,
+  /// e.g. "limits=6,6". Drives the registry-contract tests.
+  std::string_view example_options{};
+  std::vector<OptionSpec> options{};  // synopsis order
+  std::vector<DigestWord> digest_words{};
+  ResultSchema result{};
+};
+
+/// An operation's result data (ResultPayload::data): rows laid out by the
+/// schema — the row key (block, then type; or type alone), then one cell
+/// per column — plus one value per schema scalar. Renumbering-invariant by
+/// construction (see header comment).
 struct OpData {
-  virtual ~OpData() = default;
+  explicit OpData(const ResultSchema& s);
+
+  const ResultSchema* schema;
+  std::vector<long long> cells;  // row-major, key_width() + columns per row
+  std::vector<long long> scalars;
+
+  std::size_t key_width() const;  // 2 for BlockType rows, else 1
+  std::size_t rows() const;
+  /// Row `r`: its key fields, then its cells in column order.
+  const long long* row(std::size_t r) const;
+  /// Appends one row: key fields, then the cells in column order.
+  void add_row(std::initializer_list<long long> key_and_cells);
+  long long type(std::size_t r) const;
+  /// A row's cell by column key; throws on an unknown key.
+  long long cell(std::size_t r, std::string_view column) const;
+  /// A scalar by line key; throws on an unknown key.
+  long long& scalar(std::string_view line_key);
   /// Approximate heap footprint, for cache byte accounting.
-  virtual std::size_t bytes() const { return 0; }
+  std::size_t bytes() const;
 };
 
 /// Order-sensitive option digest mixed into the cache fingerprint. The
-/// digest sequence (tag, budget, then Operation::digest_options) is part of
-/// the persistent cache-key format — see request_key() in engine.hpp.
+/// digest sequence (tag, budget, then digest_options) is part of the
+/// persistent cache-key format — see request_key() in engine.hpp.
 class OptionDigest {
  public:
   void add(std::uint64_t v);
@@ -94,47 +212,22 @@ class OptionDigest {
 
 class Operation {
  public:
+  /// Validates the table (unique option names, contiguous digest slots).
+  explicit Operation(OpSpec spec);
   virtual ~Operation() = default;
 
-  /// Protocol command token, `kind=` token in result lines, and `kind=`
-  /// value in encoded payloads. Lowercase, no whitespace.
-  virtual std::string_view name() const = 0;
-
-  /// Stable 64-bit tag mixed into the cache fingerprint ahead of the
-  /// option digest. Unique per operation, never reused, never changed
-  /// (analyze=0 and reduce=1 are grandfathered from the RequestKind enum,
-  /// which is what keeps pre-registry disk caches addressable).
-  virtual std::uint64_t digest_tag() const = 0;
-
-  /// The payload this operation consumes; the protocol parser rejects
-  /// mismatches. Defaults to Ddg so single-DAG operations need no
-  /// override.
-  virtual PayloadKind payload_kind() const { return PayloadKind::Ddg; }
-
-  /// One-line option grammar for usage()/docs, e.g.
+  const OpSpec& spec() const { return spec_; }
+  std::string_view name() const { return spec_.name; }
+  std::uint64_t digest_tag() const { return spec_.digest_tag; }
+  PayloadKind payload_kind() const { return spec_.payload; }
+  std::string_view example_options() const { return spec_.example_options; }
+  /// One-line option grammar generated from the table, e.g.
   /// "limits=<n>[,<n>...] [exact=0|1] [verify=0|1] [emit=0|1]".
-  virtual std::string_view synopsis() const = 0;
-
-  /// Option tokens forming a valid request for any two-type corpus kernel,
-  /// e.g. "limits=6,6". Empty when no option is required. Drives the
-  /// registry-contract tests and doc examples, so every registered
-  /// operation is exercised without per-op test plumbing.
-  virtual std::string_view example_options() const = 0;
-
-  /// True when `key` is an option this operation accepts. The generic keys
-  /// (id, name, budget, and the payload sources kernel/file/ddg/model) are
-  /// handled by the protocol layer and never reach this.
-  virtual bool accepts_option(std::string_view key) const = 0;
-
-  /// Parses this operation's options from the request line's key=value
-  /// fields (values already unescaped) into req->options / req->want_ddg.
-  /// Throws support::PreconditionError on invalid or missing options.
-  virtual void parse_options(const std::map<std::string, std::string>& fields,
-                             Request* req) const = 0;
-
-  /// Mixes the parsed options into the cache-key digest. Must cover every
-  /// option that changes run()'s result.
-  virtual void digest_options(const Request& req, OptionDigest* d) const = 0;
+  std::string_view synopsis() const { return synopsis_; }
+  /// True when `key` is one of this operation's options. The generic keys
+  /// (id, name, budget, jobs, and the payload sources) are the protocol
+  /// layer's and never reach this.
+  bool accepts_option(std::string_view key) const;
 
   /// Executes the operation against the normalized DDG under `solve`
   /// (deadline + cancel token), with `env` supplying the pool/jobs for
@@ -144,28 +237,34 @@ class Operation {
                    const RunEnv& env, const support::SolveContext& solve,
                    ResultPayload* out) const = 0;
 
-  /// Appends this operation's payload fields to an encoded record (storage
-  /// codec, service/codec.hpp): " key=value" tokens, leading space each.
-  /// The generic header (ok/kind/success/stop/counters/err) and trailer
-  /// (ddg=, eol=) are written by encode_payload().
-  virtual void encode_payload_fields(const ResultPayload& p,
-                                     std::ostream& os) const = 0;
+  /// Result-line fields derived from the rows, appended after them
+  /// (" key=value" tokens). Derived on every render, so they are never
+  /// encoded. Only globalrs has any.
+  virtual void render_derived(const OpData&, std::ostream&) const {}
 
-  /// Rebuilds ResultPayload::data (and any op-interpreted fields) from a
-  /// decoded record's fields. Returns false on corruption (missing or
-  /// malformed op fields); may also signal corruption by throwing
-  /// support::PreconditionError, which decode_payload() treats the same.
-  virtual bool decode_payload_fields(
-      const std::map<std::string, std::string>& fields,
-      ResultPayload* out) const = 0;
-
-  /// Appends this operation's result-line fields (" key=value" tokens)
-  /// after the generic " stop=... nodes=..." prefix. The trailing
-  /// " ddg=..." (when the requester asked for it) is appended by the
-  /// generic renderer.
-  virtual void render_result_fields(const ResultPayload& p,
-                                    std::ostream& os) const = 0;
+ private:
+  OpSpec spec_;
+  std::string synopsis_;
 };
+
+/// Parses `op`'s options from a request line's key=value fields (values
+/// already unescaped) into req->options / req->want_ddg. Keys that are not
+/// `op`'s options are ignored: the caller validates the key set. Throws
+/// support::PreconditionError on a missing, malformed or out-of-bounds
+/// option.
+void parse_options(const Operation& op,
+                   const std::map<std::string, std::string>& fields,
+                   Request* req);
+
+/// Mixes req's options into the cache-key digest, in digest-slot order.
+void digest_options(const Request& req, OptionDigest* d);
+
+/// An option's parsed value (Count, Flag, Engine): its default when the
+/// request carries no parsed options. Throws on an unknown name.
+long long option_value(const Request& req, std::string_view name);
+
+/// A Limits option's parsed list (empty when unparsed).
+const std::vector<int>& option_list(const Request& req, std::string_view name);
 
 /// Looks up a registered operation; nullptr when unknown.
 const Operation* find_operation(std::string_view name);

@@ -1,10 +1,12 @@
-// Shared helpers for service operations (service/ops/*.cpp): option
-// parsing and the typed accessors for the per-op options/data boxes.
+// Shared declarations of the built-in operations (service/ops/*.cpp): each
+// op file defines one Operation — its table and its run() — behind the
+// accessor listed here for the roster in register.cpp.
 #pragma once
 
-#include <map>
 #include <string>
+#include <vector>
 
+#include "cfg/cfg.hpp"
 #include "core/exec.hpp"
 #include "core/saturation.hpp"
 #include "service/engine.hpp"
@@ -12,62 +14,50 @@
 
 namespace rs::service::ops {
 
-/// The operation's typed view of Request::options; the operation's
-/// defaults when the box is null (direct engine callers may skip
-/// parse_options), a precondition failure when it holds another
-/// operation's type.
-template <class T>
-const T& typed_options(const Request& req, const char* op_name) {
-  static const T kDefaults;
-  if (req.options == nullptr) return kDefaults;
-  const auto* typed = dynamic_cast<const T*>(req.options.get());
-  RS_REQUIRE(typed != nullptr,
-             std::string(op_name) + " request carries foreign options");
-  return *typed;
+const Operation& analyze_operation();
+const Operation& reduce_operation();
+const Operation& minreg_operation();
+const Operation& spill_operation();
+const Operation& schedule_operation();
+const Operation& globalrs_operation();
+const Operation& globalreduce_operation();
+
+/// The RS engine an engine= option selected.
+inline core::RsEngine engine_of(const Request& req) {
+  return static_cast<core::RsEngine>(option_value(req, "engine"));
 }
 
-/// The operation's typed view of ResultPayload::data. Data-free payloads
-/// (a waiter cancelled before anything was computed) read as an empty
-/// instance; encoders/renderers must emit no fabricated scalars for those
-/// (check p.data != nullptr where a zero would look like a result).
-template <class T>
-const T& typed_data(const ResultPayload& p, const char* op_name) {
-  if (p.data == nullptr) {
-    static const T kEmpty;
-    return kEmpty;
-  }
-  const auto* typed = dynamic_cast<const T*>(p.data.get());
-  RS_REQUIRE(typed != nullptr,
-             std::string("payload does not carry ") + op_name + " data");
-  return *typed;
+/// The figure-1 pipeline options of reduce and globalreduce: engine=,
+/// exact= and verify= over the core defaults.
+inline core::PipelineOptions pipeline_options(const Request& req) {
+  core::PipelineOptions o;
+  o.analyze.engine = engine_of(req);
+  o.exact_reduction = option_value(req, "exact") != 0;
+  o.verify = option_value(req, "verify") != 0;
+  return o;
 }
 
-/// Optional 0|1 flag with a fallback default; throws on any other value.
-inline bool flag_from(const std::map<std::string, std::string>& fields,
-                      const std::string& key, bool fallback) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  RS_REQUIRE(it->second == "0" || it->second == "1",
-             key + "= must be 0 or 1, got '" + it->second + "'");
-  return it->second == "1";
-}
-
-/// engine= token to RS engine; throws on an unknown token. "portfolio" is
-/// an accepted alias of "exact", kept so existing clients keep working:
-/// such a request shares exact's result and cache key.
-inline core::RsEngine engine_from_token(const std::string& e) {
-  if (e == "greedy") return core::RsEngine::Greedy;
-  if (e == "exact" || e == "portfolio") {
-    return core::RsEngine::ExactCombinatorial;
-  }
-  if (e == "ilp") return core::RsEngine::ExactIlp;
-  RS_REQUIRE(false, "unknown engine '" + e + "' (greedy|exact|ilp|portfolio)");
-  return core::RsEngine::Greedy;
+/// The limits= list, which must name one limit per register type.
+inline const std::vector<int>& limits_of(const Request& req, int types) {
+  const std::vector<int>& limits = option_list(req, "limits");
+  RS_REQUIRE(static_cast<int>(limits.size()) == types,
+             "need " + std::to_string(types) + " register limits, got " +
+                 std::to_string(limits.size()));
+  return limits;
 }
 
 /// RunEnv to the core execution descriptor (pool + jobs cap).
 inline core::Exec exec_from(const RunEnv& env) {
   return core::Exec{env.pool, env.jobs};
 }
+
+/// Block indices of `cfg` sorted by their expanded DAG's fingerprint (ties
+/// keep program order — tied blocks are isomorphic, so their rows carry
+/// identical metrics and the tie-break cannot leak input order into the
+/// payload bytes). Shared by the program operations so their row order
+/// agrees: block rows are numbered in this *canonical* order, so payloads
+/// stay invariant under block reordering, the same way DDG payloads stay
+/// invariant under node renumbering.
+std::vector<int> canonical_block_order(const cfg::Cfg& cfg);
 
 }  // namespace rs::service::ops

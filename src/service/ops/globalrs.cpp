@@ -1,5 +1,7 @@
-#include "service/ops/globalrs.hpp"
-
+// The `globalrs` operation: global register saturation of an acyclic CFG
+// (the paper's section 6) — per-block RS on the expanded DAGs plus the
+// global per-type maxima — the first PayloadKind::Program workload of the
+// service spine.
 #include <algorithm>
 #include <array>
 #include <map>
@@ -7,15 +9,10 @@
 #include <utility>
 
 #include "cfg/canon.hpp"
-#include "ddg/canon.hpp"
-#include "service/codec.hpp"
+#include "cfg/global_rs.hpp"
 #include "service/ops/common.hpp"
-#include "support/assert.hpp"
-#include "support/parse.hpp"
 
-namespace rs::service {
-
-namespace ops {
+namespace rs::service::ops {
 
 std::vector<int> canonical_block_order(const cfg::Cfg& cfg) {
   std::vector<std::pair<std::array<std::uint64_t, 2>, int>> keyed;
@@ -37,121 +34,68 @@ std::vector<int> canonical_block_order(const cfg::Cfg& cfg) {
   return order;
 }
 
-}  // namespace ops
-
 namespace {
 
-const GlobalRsOpOptions& opts_of(const Request& req) {
-  return ops::typed_options<GlobalRsOpOptions>(req, "globalrs");
+OpSpec table() {
+  const core::AnalyzeOptions def;
+  return {
+      .name = "globalrs",
+      .digest_tag = 5,
+      .payload = PayloadKind::Program,
+      .options = {{.name = "engine",
+                   .kind = OptionKind::Engine,
+                   .def = static_cast<long long>(def.engine),
+                   .digest_slot = 0}},
+      // The same greedy refinement word analyze mixes in (analyze.cpp).
+      .digest_words = {{1, def.greedy.refine_passes}},
+      // Rows grouped by canonical block ascending, type ascending within
+      // a block.
+      .result = {.count_key = "ng",
+                 .entry_prefix = "g",
+                 .row_key = RowKey::BlockType,
+                 .columns = {{"vals"}, {"rs"}, {"proven", CellKind::Flag}}},
+  };
 }
 
 class GlobalRsOperation final : public Operation {
  public:
-  std::string_view name() const override { return "globalrs"; }
-  std::uint64_t digest_tag() const override { return 5; }
-  PayloadKind payload_kind() const override { return PayloadKind::Program; }
-  std::string_view synopsis() const override {
-    return "[engine=greedy|exact|ilp]";
-  }
-  std::string_view example_options() const override { return ""; }
+  GlobalRsOperation() : Operation(table()) {}
 
-  bool accepts_option(std::string_view key) const override {
-    return key == "engine";
-  }
-
-  void parse_options(const std::map<std::string, std::string>& fields,
-                     Request* req) const override {
-    auto opts = std::make_shared<GlobalRsOpOptions>();
-    if (const auto it = fields.find("engine"); it != fields.end()) {
-      opts->core.engine = ops::engine_from_token(it->second);
-    }
-    req->options = std::move(opts);
-  }
-
-  void digest_options(const Request& req, OptionDigest* d) const override {
-    const core::AnalyzeOptions& o = opts_of(req).core;
-    d->add(static_cast<std::uint64_t>(o.engine));
-    d->add(static_cast<std::uint64_t>(o.greedy.refine_passes));
-  }
-
-  void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
+  void run(const Request& req, const ddg::Ddg&, const RunEnv& env,
            const support::SolveContext& solve,
            ResultPayload* out) const override {
-    static_cast<void>(normalized);
     RS_REQUIRE(req.program != nullptr,
                "globalrs request carries no program payload");
     const cfg::Cfg& prog = *req.program;
+    core::AnalyzeOptions opts;
+    opts.engine = engine_of(req);
     const cfg::GlobalReport report =
-        cfg::analyze(prog, opts_of(req).core, solve, ops::exec_from(env));
+        cfg::analyze(prog, opts, solve, exec_from(env));
     out->stats = report.stats;
     out->blocks_parallel = report.blocks_parallel;
-    auto data = std::make_shared<GlobalRsData>();
-    const std::vector<int> order = ops::canonical_block_order(prog);
+    auto data = std::make_shared<OpData>(spec().result);
+    const std::vector<int> order = canonical_block_order(prog);
     for (std::size_t i = 0; i < order.size(); ++i) {
-      const cfg::BlockSaturation& bs = report.blocks[order[i]];
-      for (const core::TypeSaturation& t : bs.per_type) {
-        data->rows.push_back(GlobalRsRow{static_cast<int>(i), t.type,
-                                         t.value_count, t.rs, t.proven});
+      for (const core::TypeSaturation& t : report.blocks[order[i]].per_type) {
+        data->add_row({static_cast<long long>(i), t.type, t.value_count,
+                       t.rs, t.proven});
       }
     }
     out->data = std::move(data);
   }
 
-  void encode_payload_fields(const ResultPayload& p,
-                             std::ostream& os) const override {
-    const GlobalRsData& d = globalrs_data(p);
-    encode_entries(os, "ng", "g", d.rows.size(),
-                   [&d](std::size_t i, std::ostream& out) {
-                     const GlobalRsRow& r = d.rows[i];
-                     out << r.block << ':' << r.type << ':' << r.value_count
-                         << ':' << r.rs << ':' << (r.proven ? 1 : 0);
-                   });
-  }
-
-  bool decode_payload_fields(const std::map<std::string, std::string>& fields,
-                             ResultPayload* out) const override {
-    auto data = std::make_shared<GlobalRsData>();
-    decode_entries(fields, "ng", "g", 5,
-                   [&data](const std::vector<std::string>& parts) {
-      GlobalRsRow r;
-      r.block = support::parse_int(parts[0], "g.block");
-      r.type = static_cast<ddg::RegType>(support::parse_int(parts[1], "g.type"));
-      r.value_count = support::parse_int(parts[2], "g.vals");
-      r.rs = support::parse_int(parts[3], "g.rs");
-      const int proven = support::parse_int(parts[4], "g.proven");
-      RS_REQUIRE(proven == 0 || proven == 1, "g.proven must be 0 or 1");
-      r.proven = proven == 1;
-      data->rows.push_back(r);
-    });
-    out->data = std::move(data);
-    return true;
-  }
-
-  void render_result_fields(const ResultPayload& p,
-                            std::ostream& os) const override {
-    // Data-free (cancelled-waiter) payloads carry no operation fields: a
-    // fabricated blocks=0 / all_proven=1 would read as a computed result.
-    if (p.data == nullptr) return;
-    const GlobalRsData& d = globalrs_data(p);
-    int blocks = 0;
-    for (const GlobalRsRow& r : d.rows) blocks = std::max(blocks, r.block + 1);
-    os << " blocks=" << blocks;
-    // Per-block rows first, then the global per-type maxima and the
-    // all-proven verdict — all derived from the rows, so decoded payloads
-    // render identically by construction.
-    std::map<ddg::RegType, int> global;
+  /// The global per-type maxima and the all-proven verdict, derived from
+  /// the rows, so decoded payloads render identically by construction.
+  void render_derived(const OpData& d, std::ostream& os) const override {
+    std::map<long long, long long> global;
     bool all_proven = true;
-    for (const GlobalRsRow& r : d.rows) {
-      os << " b" << r.block << ".t" << r.type << ".vals=" << r.value_count
-         << " b" << r.block << ".t" << r.type << ".rs=" << r.rs << " b"
-         << r.block << ".t" << r.type << ".proven=" << (r.proven ? 1 : 0);
-      auto [it, fresh] = global.emplace(r.type, r.rs);
-      if (!fresh) it->second = std::max(it->second, r.rs);
-      all_proven = all_proven && r.proven;
+    for (std::size_t r = 0; r < d.rows(); ++r) {
+      const long long rs = d.cell(r, "rs");
+      auto [it, fresh] = global.emplace(d.type(r), rs);
+      if (!fresh) it->second = std::max(it->second, rs);
+      all_proven = all_proven && d.cell(r, "proven") != 0;
     }
-    for (const auto& [t, rs] : global) {
-      os << " t" << t << ".rs=" << rs;
-    }
+    for (const auto& [t, rs] : global) os << " t" << t << ".rs=" << rs;
     os << " all_proven=" << (all_proven ? 1 : 0);
   }
 };
@@ -163,19 +107,4 @@ const Operation& globalrs_operation() {
   return op;
 }
 
-const GlobalRsData& globalrs_data(const ResultPayload& p) {
-  return ops::typed_data<GlobalRsData>(p, "globalrs");
-}
-
-Request make_globalrs_request(std::shared_ptr<const cfg::Cfg> program,
-                              core::AnalyzeOptions opts) {
-  Request req;
-  req.op = &globalrs_operation();
-  req.program = std::move(program);
-  auto box = std::make_shared<GlobalRsOpOptions>();
-  box->core = opts;
-  req.options = std::move(box);
-  return req;
-}
-
-}  // namespace rs::service
+}  // namespace rs::service::ops

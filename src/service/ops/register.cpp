@@ -1,23 +1,18 @@
 // The built-in operation roster. Adding a workload to the service means
-// writing its src/service/ops/<name>.{hpp,cpp} and listing it here — the
-// protocol parser, engine, codec, store and socket server pick it up
-// through the registry without edits.
+// writing its src/service/ops/<name>.cpp — a table and a run() — and
+// listing it here: the protocol parser, engine, codec, store and socket
+// server pick it up through the registry without edits.
 #include "service/operation.hpp"
-#include "service/ops/analyze.hpp"
-#include "service/ops/globalreduce.hpp"
-#include "service/ops/globalrs.hpp"
-#include "service/ops/minreg.hpp"
-#include "service/ops/reduce.hpp"
-#include "service/ops/schedule.hpp"
-#include "service/ops/spill.hpp"
+#include "service/ops/common.hpp"
 
 namespace rs::service {
 
 std::vector<const Operation*> builtin_operations() {
   return {
-      &analyze_operation(),  &reduce_operation(),   &minreg_operation(),
-      &spill_operation(),    &schedule_operation(), &globalrs_operation(),
-      &globalreduce_operation(),
+      &ops::analyze_operation(),  &ops::reduce_operation(),
+      &ops::minreg_operation(),   &ops::spill_operation(),
+      &ops::schedule_operation(), &ops::globalrs_operation(),
+      &ops::globalreduce_operation(),
   };
 }
 

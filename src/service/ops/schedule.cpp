@@ -1,106 +1,59 @@
-#include "service/ops/schedule.hpp"
-
-#include <ostream>
+// The `schedule` operation: the pipeline's downstream consumer — resource-
+// constrained, register-blind list scheduling (sched::list_schedule) plus
+// the lifetime metrics the paper reasons about: makespan and the per-type
+// maximum register pressure (MAXLIVE) of the produced schedule. Useful for
+// checking what pressure a register-blind scheduler actually reaches on a
+// DAG before/after reduction, minimization or spilling.
+#include <utility>
 
 #include "sched/lifetime.hpp"
+#include "sched/list_sched.hpp"
 #include "sched/schedule.hpp"
-#include "service/codec.hpp"
 #include "service/ops/common.hpp"
-#include "support/assert.hpp"
-#include "support/parse.hpp"
 
-namespace rs::service {
+namespace rs::service::ops {
 
 namespace {
 
-const ScheduleOpOptions& opts_of(const Request& req) {
-  return ops::typed_options<ScheduleOpOptions>(req, "schedule");
+OpSpec table() {
+  return {
+      .name = "schedule",
+      .digest_tag = 4,
+      // Issue width of the modeled machine (other per-class unit counts
+      // keep the sched::Resources defaults).
+      .options = {{.name = "width",
+                   .kind = OptionKind::Count,
+                   .def = sched::Resources{}.issue_width,
+                   .min = 1,
+                   .digest_slot = 0}},
+      // maxlive: RN^t of the list schedule (MAXLIVE).
+      .result = {.count_key = "nc",
+                 .entry_prefix = "c",
+                 .columns = {{"vals"}, {"maxlive"}},
+                 .scalars = {{"mk", "makespan", /*before_rows=*/true}}},
+  };
 }
 
 class ScheduleOperation final : public Operation {
  public:
-  std::string_view name() const override { return "schedule"; }
-  std::uint64_t digest_tag() const override { return 4; }
-  std::string_view synopsis() const override { return "[width=<n>]"; }
-  std::string_view example_options() const override { return ""; }
+  ScheduleOperation() : Operation(table()) {}
 
-  bool accepts_option(std::string_view key) const override {
-    return key == "width";
-  }
-
-  void parse_options(const std::map<std::string, std::string>& fields,
-                     Request* req) const override {
-    auto opts = std::make_shared<ScheduleOpOptions>();
-    if (const auto it = fields.find("width"); it != fields.end()) {
-      opts->issue_width = support::parse_int(it->second, "width");
-      RS_REQUIRE(opts->issue_width > 0, "width= must be positive");
-    }
-    req->options = std::move(opts);
-  }
-
-  void digest_options(const Request& req, OptionDigest* d) const override {
-    d->add(static_cast<std::uint64_t>(opts_of(req).issue_width));
-  }
-
-  void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
-           const support::SolveContext& solve,
-           ResultPayload* out) const override {
-    static_cast<void>(env);    // polynomial single solve; nothing to race
-    static_cast<void>(solve);  // polynomial; completes within any budget
+  void run(const Request& req, const ddg::Ddg& normalized, const RunEnv&,
+           const support::SolveContext&, ResultPayload* out) const override {
+    // A polynomial single solve: nothing to race, and it completes within
+    // any budget.
     sched::Resources res;
-    res.issue_width = opts_of(req).issue_width;
+    res.issue_width = static_cast<int>(option_value(req, "width"));
     const sched::Schedule sigma = sched::list_schedule(normalized, res);
-    auto data = std::make_shared<ScheduleData>();
-    data->makespan =
-        static_cast<long long>(sched::makespan(normalized, sigma));
+    auto data = std::make_shared<OpData>(spec().result);
+    data->scalar("makespan") = sched::makespan(normalized, sigma);
     for (ddg::RegType t = 0; t < normalized.type_count(); ++t) {
       const ddg::ValueSet values(normalized, t);
-      data->per_type.push_back(TypeSchedule{
-          t, values.count(), sched::register_need(normalized, t, sigma)});
+      data->add_row({t, values.count(),
+                     sched::register_need(normalized, t, sigma)});
     }
     out->stats.solves = 1;
     out->data = std::move(data);
-  }
-
-  void encode_payload_fields(const ResultPayload& p,
-                             std::ostream& os) const override {
-    const ScheduleData& d = schedule_data(p);
-    encode_entries(os, "nc", "c", d.per_type.size(),
-                   [&d](std::size_t i, std::ostream& out) {
-                     const TypeSchedule& t = d.per_type[i];
-                     out << t.type << ':' << t.value_count << ':'
-                         << t.max_live;
-                   });
-    os << " mk=" << d.makespan;
-  }
-
-  bool decode_payload_fields(const std::map<std::string, std::string>& fields,
-                             ResultPayload* out) const override {
-    auto data = std::make_shared<ScheduleData>();
-    decode_entries(fields, "nc", "c", 3,
-                   [&data](const std::vector<std::string>& parts) {
-      TypeSchedule t;
-      t.type = static_cast<ddg::RegType>(support::parse_int(parts[0], "c.type"));
-      t.value_count = support::parse_int(parts[1], "c.vals");
-      t.max_live = support::parse_int(parts[2], "c.maxlive");
-      data->per_type.push_back(t);
-    });
-    data->makespan = require_ll(fields, "mk");
-    out->data = std::move(data);
-    return true;
-  }
-
-  void render_result_fields(const ResultPayload& p,
-                            std::ostream& os) const override {
-    // Data-free (cancelled-waiter) payloads carry no operation fields: a
-    // fabricated makespan=0 would read as a computed result.
-    if (p.data == nullptr) return;
-    const ScheduleData& d = schedule_data(p);
-    os << " makespan=" << d.makespan;
-    for (const TypeSchedule& t : d.per_type) {
-      os << " t" << t.type << ".vals=" << t.value_count << " t" << t.type
-         << ".maxlive=" << t.max_live;
-    }
   }
 };
 
@@ -111,18 +64,4 @@ const Operation& schedule_operation() {
   return op;
 }
 
-const ScheduleData& schedule_data(const ResultPayload& p) {
-  return ops::typed_data<ScheduleData>(p, "schedule");
-}
-
-Request make_schedule_request(ddg::Ddg ddg, int issue_width) {
-  Request req;
-  req.op = &schedule_operation();
-  req.ddg = std::move(ddg);
-  auto box = std::make_shared<ScheduleOpOptions>();
-  box->issue_width = issue_width;
-  req.options = std::move(box);
-  return req;
-}
-
-}  // namespace rs::service
+}  // namespace rs::service::ops

@@ -1,134 +1,79 @@
-#include "service/ops/spill.hpp"
-
-#include <ostream>
+// The `spill` operation: graph-level spill insertion, the paper's stated
+// future work (section 7) — core::spill_and_reduce per register type:
+// iteratively split a saturating value's lifetime through memory
+// (store/reload pair) and re-run reduction until RS fits the limit or the
+// spill budget is exhausted. Types run in order on the evolving DAG.
 #include <utility>
 
+#include "core/spill.hpp"
 #include "ddg/io.hpp"
 #include "graph/paths.hpp"
-#include "service/codec.hpp"
 #include "service/ops/common.hpp"
-#include "support/assert.hpp"
-#include "support/parse.hpp"
 
-namespace rs::service {
+namespace rs::service::ops {
 
 namespace {
 
-const SpillOpOptions& opts_of(const Request& req) {
-  return ops::typed_options<SpillOpOptions>(req, "spill");
+OpSpec table() {
+  return {
+      .name = "spill",
+      .digest_tag = 3,
+      .example_options = "limits=2,2",
+      .options = {{.name = "limits",
+                   .kind = OptionKind::Limits,
+                   .required = true,
+                   .digest_slot = 1},
+                  // Cap on inserted store/reload pairs per type.
+                  {.name = "max_spills",
+                   .kind = OptionKind::Count,
+                   .def = core::SpillOptions{}.max_spills,
+                   .digest_slot = 0},
+                  // Not digested: it only shows the cached DDG (reduce.cpp).
+                  {.name = "emit", .kind = OptionKind::Emit}},
+      // Per type: the outcome, the store/reload pairs added, and the
+      // witnessed RS after spilling + reduction (for non-fit statuses the
+      // last witnessed estimate, above the limit; 0 = interrupted unknown).
+      .result = {.count_key = "ns",
+                 .entry_prefix = "s",
+                 .columns = {{"status", CellKind::Status},
+                             {"spills"},
+                             {"rs"}},
+                 // Critical path of the final rewritten DAG.
+                 .scalars = {{"scp", "cp"}},
+                 .renders_success = true},
+  };
 }
 
 class SpillOperation final : public Operation {
  public:
-  std::string_view name() const override { return "spill"; }
-  std::uint64_t digest_tag() const override { return 3; }
-  std::string_view synopsis() const override {
-    return "limits=<n>[,<n>...] [max_spills=<n>] [emit=0|1]";
-  }
-  std::string_view example_options() const override { return "limits=2,2"; }
+  SpillOperation() : Operation(table()) {}
 
-  bool accepts_option(std::string_view key) const override {
-    return key == "limits" || key == "max_spills" || key == "emit";
-  }
-
-  void parse_options(const std::map<std::string, std::string>& fields,
-                     Request* req) const override {
-    auto opts = std::make_shared<SpillOpOptions>();
-    const auto it = fields.find("limits");
-    RS_REQUIRE(it != fields.end(), "spill requires limits=<n>[,<n>...]");
-    opts->limits = support::parse_int_list(it->second, ',', "limits");
-    RS_REQUIRE(!opts->limits.empty(), "limits= must name at least one limit");
-    if (const auto m = fields.find("max_spills"); m != fields.end()) {
-      opts->max_spills = support::parse_int(m->second, "max_spills");
-      RS_REQUIRE(opts->max_spills >= 0, "max_spills= must be >= 0");
-    }
-    req->want_ddg = ops::flag_from(fields, "emit", false);
-    req->options = std::move(opts);
-  }
-
-  void digest_options(const Request& req, OptionDigest* d) const override {
-    const SpillOpOptions& o = opts_of(req);
-    d->add(static_cast<std::uint64_t>(o.max_spills));
-    d->add(o.limits.size());
-    for (const int l : o.limits) d->add(static_cast<std::uint64_t>(l) + 1);
-  }
-
-  void run(const Request& req, const ddg::Ddg& normalized, const RunEnv& env,
+  void run(const Request& req, const ddg::Ddg& normalized, const RunEnv&,
            const support::SolveContext& solve,
            ResultPayload* out) const override {
-    static_cast<void>(env);  // single-block sequential pipeline; no fan-out
-    const SpillOpOptions& o = opts_of(req);
-    RS_REQUIRE(static_cast<int>(o.limits.size()) == normalized.type_count(),
-               "need " + std::to_string(normalized.type_count()) +
-                   " register limits, got " +
-                   std::to_string(o.limits.size()));
-    auto data = std::make_shared<SpillData>();
+    // Single-block sequential pipeline; no fan-out.
+    const std::vector<int>& limits = limits_of(req, normalized.type_count());
+    core::SpillOptions sopts;
+    sopts.max_spills = static_cast<int>(option_value(req, "max_spills"));
+    auto data = std::make_shared<OpData>(spec().result);
     ddg::Ddg cur = normalized;
     bool all_fit = true;
     for (ddg::RegType t = 0; t < cur.type_count(); ++t) {
       const core::TypeContext ctx(cur, t);
-      core::SpillOptions sopts;
-      sopts.max_spills = o.max_spills;
       core::SpillResult r =
-          core::spill_and_reduce(ctx, o.limits[t], sopts, solve);
+          core::spill_and_reduce(ctx, limits[t], sopts, solve);
       out->stats.merge(r.stats);
-      data->per_type.push_back(
-          TypeSpill{t, r.status, r.spills_inserted, r.achieved_rs});
-      const bool fit = r.status == core::ReduceStatus::AlreadyFits ||
-                       r.status == core::ReduceStatus::Reduced;
-      all_fit = all_fit && fit;
+      data->add_row({t, static_cast<long long>(r.status), r.spills_inserted,
+                     r.achieved_rs});
+      all_fit = all_fit && (r.status == core::ReduceStatus::AlreadyFits ||
+                            r.status == core::ReduceStatus::Reduced);
       cur = std::move(r.out);
     }
-    data->critical_path =
-        static_cast<long long>(graph::critical_path(cur.graph()));
+    data->scalar("cp") = graph::critical_path(cur.graph());
     out->success = all_fit;
     if (!all_fit) out->error = "spill budget exhausted before limits held";
     out->out_ddg = ddg::to_text(cur);
     out->data = std::move(data);
-  }
-
-  void encode_payload_fields(const ResultPayload& p,
-                             std::ostream& os) const override {
-    const SpillData& d = spill_data(p);
-    encode_entries(os, "ns", "s", d.per_type.size(),
-                   [&d](std::size_t i, std::ostream& out) {
-                     const TypeSpill& t = d.per_type[i];
-                     out << t.type << ':' << reduce_status_token(t.status)
-                         << ':' << t.spills_inserted << ':' << t.achieved_rs;
-                   });
-    os << " scp=" << d.critical_path;
-  }
-
-  bool decode_payload_fields(const std::map<std::string, std::string>& fields,
-                             ResultPayload* out) const override {
-    auto data = std::make_shared<SpillData>();
-    decode_entries(fields, "ns", "s", 4,
-                   [&data](const std::vector<std::string>& parts) {
-      TypeSpill t;
-      t.type = static_cast<ddg::RegType>(support::parse_int(parts[0], "s.type"));
-      t.status = reduce_status_from_token(parts[1]);
-      t.spills_inserted = support::parse_int(parts[2], "s.spills");
-      t.achieved_rs = support::parse_int(parts[3], "s.rs");
-      data->per_type.push_back(t);
-    });
-    data->critical_path = require_ll(fields, "scp");
-    out->data = std::move(data);
-    return true;
-  }
-
-  void render_result_fields(const ResultPayload& p,
-                            std::ostream& os) const override {
-    os << " success=" << (p.success ? 1 : 0);
-    // Data-free (cancelled-waiter) payloads carry no operation fields: a
-    // fabricated cp=0 would read as a computed result.
-    if (p.data == nullptr) return;
-    const SpillData& d = spill_data(p);
-    for (const TypeSpill& t : d.per_type) {
-      os << " t" << t.type << ".status=" << reduce_status_token(t.status)
-         << " t" << t.type << ".spills=" << t.spills_inserted << " t"
-         << t.type << ".rs=" << t.achieved_rs;
-    }
-    os << " cp=" << d.critical_path;
   }
 };
 
@@ -139,20 +84,4 @@ const Operation& spill_operation() {
   return op;
 }
 
-const SpillData& spill_data(const ResultPayload& p) {
-  return ops::typed_data<SpillData>(p, "spill");
-}
-
-Request make_spill_request(ddg::Ddg ddg, std::vector<int> limits,
-                           int max_spills) {
-  Request req;
-  req.op = &spill_operation();
-  req.ddg = std::move(ddg);
-  auto box = std::make_shared<SpillOpOptions>();
-  box->limits = std::move(limits);
-  box->max_spills = max_spills;
-  req.options = std::move(box);
-  return req;
-}
-
-}  // namespace rs::service
+}  // namespace rs::service::ops

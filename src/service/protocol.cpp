@@ -257,7 +257,46 @@ Request parse_request_line(const std::string& line, std::uint64_t default_id,
     RS_REQUIRE(req.jobs > 0, "jobs= must be positive");
   }
 
-  op->parse_options(fields, &req);
+  parse_options(*op, fields, &req);
+  return req;
+}
+
+namespace {
+
+Request make_request(const std::string& op_and_options) {
+  const std::map<std::string, std::string> fields =
+      parse_fields(op_and_options);
+  const auto cmd = fields.find("");
+  RS_REQUIRE(cmd != fields.end(), "request needs an operation name");
+  const Operation* op = find_operation(cmd->second);
+  RS_REQUIRE(op != nullptr, "unknown operation '" + cmd->second + "'");
+  for (const auto& [key, value] : fields) {
+    static_cast<void>(value);
+    RS_REQUIRE(key.empty() || op->accepts_option(key),
+               "option '" + key + "=' does not apply to " + cmd->second);
+  }
+  Request req;
+  req.op = op;
+  parse_options(*op, fields, &req);
+  return req;
+}
+
+}  // namespace
+
+Request make_request(const std::string& op_and_options, ddg::Ddg ddg) {
+  Request req = make_request(op_and_options);
+  RS_REQUIRE(req.op->payload_kind() == PayloadKind::Ddg,
+             std::string(req.op->name()) + " takes a program payload");
+  req.ddg = std::move(ddg);
+  return req;
+}
+
+Request make_request(const std::string& op_and_options,
+                     std::shared_ptr<const cfg::Cfg> program) {
+  Request req = make_request(op_and_options);
+  RS_REQUIRE(req.op->payload_kind() == PayloadKind::Program,
+             std::string(req.op->name()) + " takes a DDG payload");
+  req.program = std::move(program);
   return req;
 }
 
@@ -272,8 +311,8 @@ std::string render_response(const Response& resp) {
   std::ostringstream os;
   os << "result id=" << resp.id;
   if (!p.ok) {
-    os << " status=error name=" << escape_field(resp.name)
-       << render_payload_fields(p, false);
+    os << " status=error name=" << escape_field(resp.name);
+    render_payload_fields(p, false, os);
     return os.str();
   }
   os << " status=ok kind=" << p.op->name()
@@ -281,7 +320,8 @@ std::string render_response(const Response& resp) {
      << " cached=" << (resp.cache_hit ? 1 : 0);
   char ms[32];
   std::snprintf(ms, sizeof ms, "%.3f", resp.millis);
-  os << " ms=" << ms << render_payload_fields(p, resp.include_ddg);
+  os << " ms=" << ms;
+  render_payload_fields(p, resp.include_ddg, os);
   return os.str();
 }
 

@@ -6,39 +6,35 @@
 //
 // The command token of a request line names a registered
 // service::Operation (service/operation.hpp); the option vocabulary of
-// each operation lives with the operation, so this grammar never needs
-// editing to add a workload. The built-in operations:
+// each operation is declared once, in its table, so this grammar never
+// needs editing to add a workload. Every submission is
 //
-//   analyze  <payload> [engine=greedy|exact|ilp] [budget=<sec>]
-//            [id=<n>] [name=<str>] [jobs=<n>]
-//            register saturation per type (the paper's RS computation)
-//   reduce   <payload> limits=<n>[,<n>...] [engine=...] [exact=0|1]
-//            [verify=0|1] [emit=0|1] [budget=<sec>] [id=<n>] [name=<str>]
-//            [jobs=<n>]
-//            figure-1 RS reduction against per-type register limits
-//   minreg   <payload> [cp=<n>] [engine=exact] [emit=0|1]
-//            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
-//            the literature's register minimization under a makespan
-//            budget (cp= cycles; unset/0 = the critical path, the paper's
-//            figure-2(b) baseline), freezing the minimal-need schedule
-//            into the DAG via the Theorem-4.2 arcs
-//   spill    <payload> limits=<n>[,<n>...] [max_spills=<n>] [emit=0|1]
-//            [budget=<sec>] [id=<n>] [name=<str>]
-//            graph-level lifetime splitting (the paper's section-7 future
-//            work): iteratively insert store/reload pairs and re-reduce
-//            until RS fits the limits
-//   schedule <payload> [width=<n>] [budget=<sec>] [id=<n>] [name=<str>]
-//            resource-constrained list scheduling plus lifetime metrics
-//            (makespan, per-type maximum register pressure)
-//   globalrs <program-payload> [engine=greedy|exact|ilp]
-//            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
-//            global register saturation of an acyclic CFG (section 6):
-//            per-block RS on the expanded DAGs + global per-type maxima
-//   globalreduce <program-payload> limits=<n>[,<n>...] [margin=<n>]
-//            [engine=greedy|exact|ilp] [exact=0|1] [verify=0|1]
-//            [budget=<sec>] [id=<n>] [name=<str>] [jobs=<n>]
-//            per-block figure-1 reduction against limits[t]-margin (the
-//            paper's cross-block move margin, default 1)
+//   <op> <payload> [<op options>] [budget=<sec>] [id=<n>] [name=<str>]
+//        [jobs=<n>]
+//
+// and `rsat`'s usage text lists each operation's option grammar, generated
+// from its table. The built-in operations:
+//
+//   analyze       register saturation per type (the paper's RS
+//                 computation)
+//   reduce        figure-1 RS reduction against per-type register limits
+//   minreg        the literature's register minimization under a makespan
+//                 budget (cp= cycles; unset/0 = the critical path, the
+//                 paper's figure-2(b) baseline), freezing the minimal-need
+//                 schedule into the DAG via the Theorem-4.2 arcs
+//   spill         graph-level lifetime splitting (the paper's section-7
+//                 future work): iteratively insert store/reload pairs and
+//                 re-reduce until RS fits the limits
+//   schedule      resource-constrained list scheduling plus lifetime
+//                 metrics (makespan, per-type maximum register pressure)
+//   globalrs      global register saturation of an acyclic CFG (section
+//                 6): per-block RS on the expanded DAGs + global per-type
+//                 maxima
+//   globalreduce  per-block figure-1 reduction against limits[t]-margin
+//                 (the paper's cross-block move margin, default 1)
+//
+// and the control verbs:
+//
 //   cancel   <id>    cooperative cancel of a pending/running request; its
 //                    result line still arrives (stop=cancelled, not cached)
 //   drain            block until every previously submitted request is done:
@@ -199,6 +195,14 @@ Command parse_command_line(const std::string& line, std::uint64_t default_id,
 /// rejected). Kept for callers that feed the engine directly.
 Request parse_request_line(const std::string& line, std::uint64_t default_id,
                            const ProtocolOptions& opts = {});
+
+/// A request for direct engine callers (tests, benches): `op_and_options`
+/// is "<op> [option=value ...]" — only the operation's own options, parsed
+/// by its table like a protocol line's — and the payload must match the
+/// operation's PayloadKind. Throws support::PreconditionError otherwise.
+Request make_request(const std::string& op_and_options, ddg::Ddg ddg);
+Request make_request(const std::string& op_and_options,
+                     std::shared_ptr<const cfg::Cfg> program);
 
 /// Renders a response as one result line (no trailing newline).
 std::string render_response(const Response& resp);

@@ -15,7 +15,6 @@
 #include "ddg/kernels.hpp"
 #include "graph/paths.hpp"
 #include "service/engine.hpp"
-#include "service/ops/analyze.hpp"
 #include "service/protocol.hpp"
 #include "service/trace.hpp"
 #include "support/metrics.hpp"
@@ -458,7 +457,7 @@ TEST(TraceEngine, SpansRideOnResponsesWhenEnabled) {
   AnalysisEngine engine(cfg);
   const auto dag = ddg::build_kernel("lin-ddot", ddg::superscalar_model());
 
-  Request first = make_analyze_request(dag);
+  Request first = make_request("analyze", dag);
   first.id = 1;
   first.name = "cold";
   first.parse_ms = 0.125;
@@ -491,7 +490,7 @@ TEST(TraceEngine, SpansRideOnResponsesWhenEnabled) {
   }
   EXPECT_EQ(cold.trace->ddg_types, types);
 
-  Request second = make_analyze_request(dag);
+  Request second = make_request("analyze", dag);
   second.id = 2;
   const Response warm = engine.run(second);
   ASSERT_NE(warm.trace, nullptr);
@@ -531,8 +530,8 @@ TEST(TraceEngine, NoSpansWhenDisabled) {
   cfg.threads = 1;
   AnalysisEngine engine(cfg);
   const Response resp = engine.run(
-      make_analyze_request(ddg::build_kernel("lin-ddot",
-                                             ddg::superscalar_model())));
+      make_request("analyze", ddg::build_kernel("lin-ddot",
+                                                ddg::superscalar_model())));
   EXPECT_EQ(resp.trace, nullptr);
 }
 

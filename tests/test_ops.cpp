@@ -22,11 +22,6 @@
 #include "service/codec.hpp"
 #include "service/engine.hpp"
 #include "service/operation.hpp"
-#include "service/ops/analyze.hpp"
-#include "service/ops/minreg.hpp"
-#include "service/ops/reduce.hpp"
-#include "service/ops/schedule.hpp"
-#include "service/ops/spill.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
 #include "support/assert.hpp"
@@ -89,7 +84,7 @@ TEST(OperationRegistry, BuiltinsAreRegisteredUniquely) {
 
 TEST(OperationRegistry, DuplicateRegistrationIsRejected) {
   EXPECT_THROW(
-      service::register_operation(&service::analyze_operation()),
+      service::register_operation(service::find_operation("analyze")),
       support::PreconditionError);
 }
 
@@ -256,6 +251,16 @@ TEST(ProgramPayload, PayloadKindMismatchesAreRejected) {
       "globalrs prog=diamond model=vliw", 1));
   EXPECT_THROW(service::parse_request_line("analyze file=x.ddg model=vliw", 1),
                support::PreconditionError);
+  // make_request holds direct engine callers to the same rules: the
+  // payload must match and only the operation's own options apply.
+  const ddg::Ddg dag = ddg::build_kernel("fir8", ddg::superscalar_model());
+  EXPECT_THROW(service::make_request("globalrs", dag),
+               support::PreconditionError);
+  EXPECT_THROW(service::make_request("analyze limits=6,6", dag),
+               support::PreconditionError);
+  EXPECT_THROW(service::make_request("reduce", dag),
+               support::PreconditionError);
+  EXPECT_NO_THROW(service::make_request("reduce limits=6,6 emit=1", dag));
 }
 
 TEST(ProgramPayload, MachineModelSplitsTheFingerprint) {
@@ -344,52 +349,26 @@ TEST(EngineCounters, PerOperationBreakdownCountsHitsAndMisses) {
 // ---------------------------------------------------------------------------
 // extensibility: a new operation defined *here* flows through every layer
 
-/// Counts operations per op class — no solver, no options. Exists to prove
-/// the acceptance criterion: a new operation needs only its own definition
+/// Counts operations and arcs — no solver, no options. Exists to prove the
+/// acceptance criterion: a new operation needs only its table, its run()
 /// and a register_operation() call; engine/store/serve are untouched.
-struct OpCountData : service::OpData {
-  int ops = 0;
-  int arcs = 0;
-};
-
 class OpCountOperation final : public Operation {
  public:
-  std::string_view name() const override { return "opcount"; }
-  std::uint64_t digest_tag() const override { return 0x7e57; }
-  std::string_view synopsis() const override { return ""; }
-  std::string_view example_options() const override { return ""; }
-  bool accepts_option(std::string_view) const override { return false; }
-  void parse_options(const std::map<std::string, std::string>&,
-                     Request*) const override {}
-  void digest_options(const Request&, service::OptionDigest*) const override {}
+  OpCountOperation()
+      : Operation(service::OpSpec{
+            .name = "opcount",
+            .digest_tag = 0x7e57,
+            .result = {.count_key = "oc.n",
+                       .entry_prefix = "oc.r",
+                       .scalars = {{"oc.ops", "ops"}, {"oc.arcs", "arcs"}}},
+        }) {}
 
   void run(const Request&, const ddg::Ddg& normalized, const service::RunEnv&,
            const support::SolveContext&, ResultPayload* out) const override {
-    auto data = std::make_shared<OpCountData>();
-    data->ops = normalized.op_count();
-    data->arcs = normalized.graph().edge_count();
+    auto data = std::make_shared<service::OpData>(spec().result);
+    data->scalar("ops") = normalized.op_count();
+    data->scalar("arcs") = normalized.graph().edge_count();
     out->data = std::move(data);
-  }
-
-  void encode_payload_fields(const ResultPayload& p,
-                             std::ostream& os) const override {
-    const auto& d = dynamic_cast<const OpCountData&>(*p.data);
-    os << " oc.ops=" << d.ops << " oc.arcs=" << d.arcs;
-  }
-
-  bool decode_payload_fields(const std::map<std::string, std::string>& fields,
-                             ResultPayload* out) const override {
-    auto data = std::make_shared<OpCountData>();
-    data->ops = static_cast<int>(service::require_ll(fields, "oc.ops"));
-    data->arcs = static_cast<int>(service::require_ll(fields, "oc.arcs"));
-    out->data = std::move(data);
-    return true;
-  }
-
-  void render_result_fields(const ResultPayload& p,
-                            std::ostream& os) const override {
-    const auto& d = dynamic_cast<const OpCountData&>(*p.data);
-    os << " ops=" << d.ops << " arcs=" << d.arcs;
   }
 };
 

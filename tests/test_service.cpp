@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "cfg/canon.hpp"
+#include "cfg/cfg.hpp"
 #include "core/saturation.hpp"
 #include "ddg/canon.hpp"
 #include "ddg/generators.hpp"
@@ -20,8 +22,6 @@
 #include "ddg/kernels.hpp"
 #include "service/engine.hpp"
 #include "service/operation.hpp"
-#include "service/ops/analyze.hpp"
-#include "service/ops/reduce.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
 #include "support/assert.hpp"
@@ -226,23 +226,20 @@ TEST(Protocol, EscapeRoundTrip) {
 TEST(Protocol, ParseAnalyzeAndReduceRequests) {
   const Request a = service::parse_request_line(
       "analyze kernel=lin-ddot engine=greedy budget=2.5 name=dd", 7);
-  EXPECT_EQ(a.op, &service::analyze_operation());
+  EXPECT_EQ(a.op, service::find_operation("analyze"));
   EXPECT_EQ(a.id, 7u);
   EXPECT_EQ(a.name, "dd");
-  const auto& aopts =
-      dynamic_cast<const service::AnalyzeOpOptions&>(*a.options);
-  EXPECT_EQ(aopts.core.engine, core::RsEngine::Greedy);
+  EXPECT_EQ(service::option_value(a, "engine"),
+            static_cast<long long>(core::RsEngine::Greedy));
   EXPECT_DOUBLE_EQ(a.budget_seconds, 2.5);
 
   const Request r = service::parse_request_line(
       "reduce kernel=fir8 limits=4,8 exact=1 verify=0 emit=1 id=42", 1);
-  EXPECT_EQ(r.op, &service::reduce_operation());
+  EXPECT_EQ(r.op, service::find_operation("reduce"));
   EXPECT_EQ(r.id, 42u);
-  const auto& ropts =
-      dynamic_cast<const service::ReduceOpOptions&>(*r.options);
-  EXPECT_EQ(ropts.limits, (std::vector<int>{4, 8}));
-  EXPECT_TRUE(ropts.pipeline.exact_reduction);
-  EXPECT_FALSE(ropts.pipeline.verify);
+  EXPECT_EQ(service::option_list(r, "limits"), (std::vector<int>{4, 8}));
+  EXPECT_EQ(service::option_value(r, "exact"), 1);
+  EXPECT_EQ(service::option_value(r, "verify"), 0);
   EXPECT_TRUE(r.want_ddg);
 }
 
@@ -352,15 +349,15 @@ TEST(Engine, AnalyzeMatchesOneShotCoreCall) {
     const core::SaturationReport want = core::analyze(d.normalized(), opts);
 
     AnalysisEngine engine{EngineConfig{}};
-    const Response resp = engine.run(service::make_analyze_request(d, opts));
+    const Response resp = engine.run(service::make_request("analyze", d));
     ASSERT_TRUE(resp.payload->ok) << resp.payload->error;
-    const auto& got = service::analyze_data(*resp.payload).per_type;
-    ASSERT_EQ(got.size(), want.per_type.size()) << name;
+    const service::OpData& got = *resp.payload->data;
+    ASSERT_EQ(got.rows(), want.per_type.size()) << name;
     for (std::size_t t = 0; t < want.per_type.size(); ++t) {
-      EXPECT_EQ(got[t].type, want.per_type[t].type);
-      EXPECT_EQ(got[t].value_count, want.per_type[t].value_count);
-      EXPECT_EQ(got[t].rs, want.per_type[t].rs) << name;
-      EXPECT_EQ(got[t].proven, want.per_type[t].proven);
+      EXPECT_EQ(got.type(t), want.per_type[t].type);
+      EXPECT_EQ(got.cell(t, "vals"), want.per_type[t].value_count);
+      EXPECT_EQ(got.cell(t, "rs"), want.per_type[t].rs) << name;
+      EXPECT_EQ(got.cell(t, "proven"), want.per_type[t].proven ? 1 : 0);
     }
   }
 }
@@ -374,19 +371,19 @@ TEST(Engine, ReduceMatchesOneShotCoreCallByteForByte) {
 
   AnalysisEngine engine{EngineConfig{}};
   const Response resp =
-      engine.run(service::make_reduce_request(d, limits, opts));
+      engine.run(service::make_request("reduce limits=6,6", d));
   ASSERT_TRUE(resp.payload->ok) << resp.payload->error;
   EXPECT_EQ(resp.payload->success, want.success);
   // Byte-identical reduced DDG.
   EXPECT_EQ(resp.payload->out_ddg, ddg::to_text(want.out));
-  const auto& got = service::reduce_data(*resp.payload).per_type;
-  ASSERT_EQ(got.size(), want.per_type.size());
+  const service::OpData& got = *resp.payload->data;
+  ASSERT_EQ(got.rows(), want.per_type.size());
   for (std::size_t t = 0; t < want.per_type.size(); ++t) {
-    EXPECT_EQ(got[t].status, want.per_type[t].status);
-    EXPECT_EQ(got[t].achieved_rs, want.per_type[t].achieved_rs);
-    EXPECT_EQ(got[t].arcs_added, want.per_type[t].arcs_added);
-    EXPECT_EQ(got[t].ilp_loss,
-              static_cast<long long>(want.per_type[t].ilp_loss()));
+    EXPECT_EQ(got.cell(t, "status"),
+              static_cast<long long>(want.per_type[t].status));
+    EXPECT_EQ(got.cell(t, "rs"), want.per_type[t].achieved_rs);
+    EXPECT_EQ(got.cell(t, "arcs"), want.per_type[t].arcs_added);
+    EXPECT_EQ(got.cell(t, "loss"), want.per_type[t].ilp_loss());
   }
 }
 
@@ -416,18 +413,19 @@ TEST(Engine, DuplicateRequestHitsCacheWithIdenticalBytes) {
 TEST(Engine, RenumberedAndRenamedInputHitsSameEntry) {
   const Ddg d = ddg::build_kernel("liv-loop5", ddg::superscalar_model());
   AnalysisEngine engine{EngineConfig{}};
-  const Response first = engine.run(service::make_analyze_request(d));
-  Request perm = service::make_analyze_request(
+  const Response first = engine.run(service::make_request("analyze", d));
+  Request perm = service::make_request(
+      "analyze",
       test::permuted_copy(d, test::reversed_order(d), /*rename=*/true));
   perm.name = "permuted";
   const Response second = engine.run(std::move(perm));
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.fingerprint, first.fingerprint);
-  const auto& fa = service::analyze_data(*first.payload).per_type;
-  const auto& sa = service::analyze_data(*second.payload).per_type;
-  ASSERT_EQ(sa.size(), fa.size());
-  for (std::size_t t = 0; t < fa.size(); ++t) {
-    EXPECT_EQ(sa[t].rs, fa[t].rs);
+  const service::OpData& fa = *first.payload->data;
+  const service::OpData& sa = *second.payload->data;
+  ASSERT_EQ(sa.rows(), fa.rows());
+  for (std::size_t t = 0; t < fa.rows(); ++t) {
+    EXPECT_EQ(sa.cell(t, "rs"), fa.cell(t, "rs"));
   }
 }
 
@@ -453,11 +451,33 @@ TEST(Engine, CacheKeysArePinned) {
        "eb718c6b721d820eb2c2c999ae0e6f6b"},
       {"minreg kernel=lin-ddot",
        "a3aebef965ad40f3a43edf166a324d11"},
+      {"analyze kernel=lin-ddot",
+       "dfd70706a8ea2b72b2e9fffa4303bf0b"},
+      {"analyze kernel=lin-ddot engine=greedy",
+       "a163b2448e61756382b3c82c6ceaae0d"},
+      {"spill kernel=lin-ddot limits=2,2 max_spills=2",
+       "a73920a18c806bf5edbaff37802d3142"},
+      {"schedule kernel=lin-ddot width=2",
+       "aca52c28738c339c3267fb4c690bf19e"},
+      {"minreg kernel=lin-ddot cp=40",
+       "9ed4209e3f535a8be01b4036e068c76f"},
+      {"globalrs prog=diamond",
+       "82a3d47dfbbf3346382bedf10aa1ec48"},
+      {"globalrs prog=diamond engine=greedy",
+       "ea80d3bb09b0ae3e2ce6883d867737e0"},
+      {"globalreduce prog=diamond limits=8,8 margin=2",
+       "2940c07811b43100c7b3068448c12e7c"},
+      {"globalreduce prog=diamond limits=8,8 margin=2 engine=greedy",
+       "19bd034f652cac448df710fe2953f867"},
   };
   for (const auto& [line, hex] : cases) {
     const Request req = service::parse_request_line(line, 1);
-    const CacheKey key =
-        service::request_key(req, ddg::fingerprint(req.ddg.normalized()));
+    // Program requests are fingerprinted with cfg::canon, DDG requests
+    // with ddg::canon — the same split the engine makes.
+    const ddg::Fingerprint fp = req.program != nullptr
+                                    ? cfg::fingerprint(*req.program)
+                                    : ddg::fingerprint(req.ddg.normalized());
+    const CacheKey key = service::request_key(req, fp);
     EXPECT_EQ(key.hex(), hex) << line;
   }
 }
@@ -492,9 +512,9 @@ TEST(Engine, ConcurrentDuplicatesComputeOnce) {
 
 TEST(Engine, ErrorsAreReportedAndNotCached) {
   AnalysisEngine engine{EngineConfig{}};
-  const Request bad = service::make_reduce_request(
-      ddg::build_kernel("fir8", ddg::superscalar_model()),
-      {4});  // needs one limit per type (2)
+  const Request bad = service::make_request(
+      "reduce limits=4",  // needs one limit per type (2)
+      ddg::build_kernel("fir8", ddg::superscalar_model()));
   const Response r1 = engine.run(Request(bad));
   EXPECT_FALSE(r1.payload->ok);
   EXPECT_FALSE(r1.payload->error.empty());
@@ -567,8 +587,8 @@ TEST(Engine, CountersTileAcrossMixedWorkload) {
   }
   for (auto& f : futs) f.get();
   // An error response must also land in exactly one bucket (a miss).
-  engine.run(service::make_reduce_request(
-      ddg::build_kernel("fir8", ddg::superscalar_model()), {4}));
+  engine.run(service::make_request(
+      "reduce limits=4", ddg::build_kernel("fir8", ddg::superscalar_model())));
   engine.wait_idle();
 
   const service::CounterSnapshot c = engine.metrics().counters();
@@ -694,7 +714,7 @@ TEST(Protocol, StatsLineGoldenColdThenWarm) {
   EXPECT_EQ(masked(engine.stats_line()),
             "stats submitted=4 completed=4 errors=1 memory_hits=0 disk_hits=0 "
             "coalesced=0 misses=4 cancelled=0 timed_out=0 queue_depth=0 "
-            "hit_rate=0.000 entries=3 bytes=5221 disk=0 p50_ms=* p95_ms=* "
+            "hit_rate=0.000 entries=3 bytes=5517 disk=0 p50_ms=* p95_ms=* "
             "p99_ms=* max_ms=* ops=3 op.analyze.submitted=1 op.analyze.hits=0 "
             "op.analyze.misses=1 op.analyze.p50_ms=* op.globalrs.submitted=1 "
             "op.globalrs.hits=0 op.globalrs.misses=1 op.globalrs.p50_ms=* "
@@ -704,7 +724,7 @@ TEST(Protocol, StatsLineGoldenColdThenWarm) {
   EXPECT_EQ(masked(engine.stats_line()),
             "stats submitted=8 completed=8 errors=2 memory_hits=3 disk_hits=0 "
             "coalesced=0 misses=5 cancelled=0 timed_out=0 queue_depth=0 "
-            "hit_rate=0.375 entries=3 bytes=5221 disk=0 p50_ms=* p95_ms=* "
+            "hit_rate=0.375 entries=3 bytes=5517 disk=0 p50_ms=* p95_ms=* "
             "p99_ms=* max_ms=* ops=3 op.analyze.submitted=2 op.analyze.hits=1 "
             "op.analyze.misses=1 op.analyze.p50_ms=* op.globalrs.submitted=2 "
             "op.globalrs.hits=1 op.globalrs.misses=1 op.globalrs.p50_ms=* "
@@ -771,7 +791,7 @@ Ddg slow_instance(std::uint64_t seed) {
 }
 
 Request slow_analyze(std::uint64_t id, std::uint64_t seed) {
-  Request req = service::make_analyze_request(slow_instance(seed));
+  Request req = service::make_request("analyze", slow_instance(seed));
   req.id = id;
   return req;
 }
@@ -788,9 +808,10 @@ TEST(Engine, CancelAbortsInFlightSolveAndSkipsCache) {
   EXPECT_EQ(resp.payload->stats.stop, support::StopCause::Cancelled);
   // The pressured (many-value) type cannot have been proven; value-free
   // types are trivially proven even under cancellation.
-  for (const auto& t : service::analyze_data(*resp.payload).per_type) {
-    if (t.value_count >= 10) {
-      EXPECT_FALSE(t.proven);
+  const service::OpData& d = *resp.payload->data;
+  for (std::size_t t = 0; t < d.rows(); ++t) {
+    if (d.cell(t, "vals") >= 10) {
+      EXPECT_EQ(d.cell(t, "proven"), 0);
     }
   }
 
@@ -862,9 +883,10 @@ TEST(Engine, TimedOutSolveReportsTimeoutAndIsCached) {
   const Response r1 = engine.run(Request(req));
   ASSERT_TRUE(r1.payload->ok);
   EXPECT_EQ(r1.payload->stats.stop, support::StopCause::TimedOut);
-  for (const auto& t : service::analyze_data(*r1.payload).per_type) {
-    if (t.value_count > 0) {
-      EXPECT_FALSE(t.proven);
+  const service::OpData& d = *r1.payload->data;
+  for (std::size_t t = 0; t < d.rows(); ++t) {
+    if (d.cell(t, "vals") > 0) {
+      EXPECT_EQ(d.cell(t, "proven"), 0);
     }
   }
   // Same budget, same DDG: a deterministic "best effort within budget"

@@ -5,20 +5,22 @@
 // cold (computed), warm (MemoryStore), or after a cold restart (DiskStore).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/reduce.hpp"
 #include "ddg/generators.hpp"
 #include "ddg/kernels.hpp"
 #include "service/codec.hpp"
 #include "service/engine.hpp"
-#include "service/ops/analyze.hpp"
-#include "service/ops/reduce.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
 #include "support/fs.hpp"
+#include "support/parse.hpp"
 #include "support/random.hpp"
 
 #include "test_util.hpp"
@@ -40,8 +42,6 @@ using service::Response;
 using service::ResultPayload;
 using service::StoreTier;
 using service::TieredStore;
-using service::TypeAnalysis;
-using service::TypeReduce;
 
 /// Fresh per-test scratch directory under the system temp dir.
 std::string fresh_dir(const std::string& name) {
@@ -59,10 +59,11 @@ std::string fresh_dir(const std::string& name) {
 
 ResultPayload sample_analyze_payload() {
   ResultPayload p;
-  p.op = &service::analyze_operation();
-  auto data = std::make_shared<service::AnalyzeData>();
-  data->per_type.push_back(TypeAnalysis{0, 12, 5, true});
-  data->per_type.push_back(TypeAnalysis{1, 3, 2, false});
+  p.op = service::find_operation("analyze");
+  // Rows: type, vals, rs, proven.
+  auto data = std::make_shared<service::OpData>(p.op->spec().result);
+  data->add_row({0, 12, 5, 1});
+  data->add_row({1, 3, 2, 0});
   p.data = std::move(data);
   p.stats.nodes = 123;
   p.stats.prunes = 45;
@@ -75,13 +76,14 @@ ResultPayload sample_analyze_payload() {
 
 ResultPayload sample_reduce_payload() {
   ResultPayload p;
-  p.op = &service::reduce_operation();
+  p.op = service::find_operation("reduce");
   p.success = false;
-  auto data = std::make_shared<service::ReduceData>();
-  data->per_type.push_back(
-      TypeReduce{0, core::ReduceStatus::Reduced, 4, 3, 12});
-  data->per_type.push_back(
-      TypeReduce{1, core::ReduceStatus::SpillNeeded, 9, 0, 0});
+  // Rows: type, status, rs, arcs, loss.
+  auto data = std::make_shared<service::OpData>(p.op->spec().result);
+  data->add_row({0, static_cast<long long>(core::ReduceStatus::Reduced), 4, 3,
+                 12});
+  data->add_row(
+      {1, static_cast<long long>(core::ReduceStatus::SpillNeeded), 9, 0, 0});
   p.data = std::move(data);
   p.out_ddg = "ddg x types=2\nop a class=ialu lat=1 dr=0 dw=0\n";
   p.error = "type 1 above limit";
@@ -184,6 +186,123 @@ TEST(Codec, UnknownKeysAreSkippedForwardCompatibly) {
   bad.pop_back();
   bad += " zfuture=%G\n";
   EXPECT_EQ(service::decode_payload(bad), nullptr);
+}
+
+/// The records of the cross-build compatibility fixture
+/// (tests/data/disk_cache_compat/cache), path-sorted.
+std::vector<std::string> committed_records() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::string(RSAT_TEST_DATA_DIR) + "/disk_cache_compat/cache")) {
+    if (entry.path().extension() == ".rsres") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::string> out;
+  for (const auto& path : paths) {
+    std::string text;
+    EXPECT_TRUE(support::read_file_to_string(path.string(), &text)) << path;
+    out.push_back(text);
+  }
+  return out;
+}
+
+std::string join_tokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) out += (out.empty() ? "" : " ") + t;
+  return out + "\n";
+}
+
+/// decode_payload never throws; a mutant it accepts re-encodes to a record
+/// that decodes and renders the same (never a poisoned payload). Counts
+/// the mutants tried and those accepted.
+void expect_survives(const std::string& mutant, int* tried, int* accepted) {
+  ++*tried;
+  std::shared_ptr<const ResultPayload> p;
+  ASSERT_NO_THROW(p = service::decode_payload(mutant)) << mutant;
+  if (p == nullptr) return;
+  ++*accepted;
+  const std::string again = service::encode_payload(*p);
+  std::shared_ptr<const ResultPayload> q;
+  ASSERT_NO_THROW(q = service::decode_payload(again)) << mutant;
+  ASSERT_NE(q, nullptr) << mutant;
+  EXPECT_EQ(service::encode_payload(*q), again) << mutant;
+  EXPECT_EQ(service::render_payload_fields(*q, true),
+            service::render_payload_fields(*p, true))
+      << mutant;
+}
+
+TEST(Codec, CommittedRecordsSurviveDeterministicMutation) {
+  // The entry-count keys every registered schema writes, grandfathered
+  // empty counts included.
+  std::vector<std::string> count_keys;
+  for (const service::Operation* op : service::operations()) {
+    const service::ResultSchema& s = op->spec().result;
+    for (const std::string_view k :
+         {s.count_key, s.zero_count_before, s.zero_count_after}) {
+      if (!k.empty()) count_keys.emplace_back(k);
+    }
+  }
+  const std::vector<std::string> records = committed_records();
+  ASSERT_EQ(records.size(), 14u);
+  int tried = 0, accepted = 0;
+  for (const std::string& rec : records) {
+    // Intact, each record decodes and re-encodes to its committed bytes.
+    const auto intact = service::decode_payload(rec);
+    ASSERT_NE(intact, nullptr) << rec;
+    EXPECT_EQ(service::encode_payload(*intact), rec);
+    for (std::size_t len = 0; len < rec.size(); ++len) {
+      expect_survives(rec.substr(0, len), &tried, &accepted);
+    }
+    const std::vector<std::string> tokens = support::split_ws(rec);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      std::vector<std::string> dropped = tokens;
+      dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+      expect_survives(join_tokens(dropped), &tried, &accepted);
+
+      const std::size_t eq = tokens[i].find('=');
+      if (eq == std::string::npos) continue;
+      const std::string key = tokens[i].substr(0, eq);
+      const std::string value = tokens[i].substr(eq + 1);
+      std::vector<std::string> mutated = tokens;
+      if (std::find(count_keys.begin(), count_keys.end(), key) !=
+          count_keys.end()) {
+        const long long n = support::parse_ll(value, key);
+        for (const long long delta : {-1LL, 1LL}) {
+          mutated[i] = key + "=" + std::to_string(n + delta);
+          expect_survives(join_tokens(mutated), &tried, &accepted);
+        }
+      }
+      // Entry cells: every ':'-separated cell of a row entry.
+      if (key == "ddg" || key == "err" || value.find(':') == std::string::npos) {
+        continue;
+      }
+      std::vector<std::string> cells{""};
+      for (const char c : value) {
+        if (c == ':') {
+          cells.emplace_back();
+        } else {
+          cells.back() += c;
+        }
+      }
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        for (const char* bad : {"x", "-1", "99999999999"}) {
+          std::vector<std::string> cell_mutant = cells;
+          cell_mutant[c] = bad;
+          std::string v = cell_mutant[0];
+          for (std::size_t k = 1; k < cell_mutant.size(); ++k) {
+            v += ":" + cell_mutant[k];
+          }
+          mutated[i] = key + "=" + v;
+          expect_survives(join_tokens(mutated), &tried, &accepted);
+        }
+      }
+    }
+  }
+  // Both outcomes occur: most mutants are misses, but some stay readable
+  // (a dropped ddg= or a lowered entry count) and were round-tripped.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(tried - accepted, 0);
+  std::printf("codec sweep: %d mutants, %d accepted\n", tried, accepted);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +524,8 @@ TEST(EngineDisk, TimedOutResultsAreNotServedAcrossRestart) {
   p.min_width = 4;
   p.max_width = 6;
   p.edge_prob = 0.8;
-  Request req = service::make_analyze_request(
-      ddg::random_layered(rng, ddg::superscalar_model(), p));
+  Request req = service::make_request(
+      "analyze", ddg::random_layered(rng, ddg::superscalar_model(), p));
   req.id = 1;
   req.budget_seconds = 1e-9;
 
