@@ -261,7 +261,10 @@ IterOutcome iterate(Tableau& t, int& iter_budget,
 
     if (++since_refactor >= kRefactorPeriod) {
       since_refactor = 0;
-      RS_CHECK(t.refactorize());
+      // A numerically singular basis ends this LP only: every solve builds
+      // a fresh tableau, and the caller treats a non-optimal LP as an
+      // unproven subtree.
+      if (!t.refactorize()) return IterOutcome::IterLimit;
     }
   }
   return IterOutcome::IterLimit;

@@ -121,12 +121,8 @@
 //         idle engine (service::counters_tile). The line is rendered by
 //         AnalysisEngine::stats_line() from one registry snapshot; only
 //         entries= and bytes= (the memory LRU's resident size) and disk=
-//         come from the store itself. When serve runs with
-//         --slo-ms=<t>, the serve front end appends per-op latency-objective
-//         fields after the op groups: slo_ms=<t> slo.<name>.ok=<n>
-//         slo.<name>.breach=<n> ... (name-sorted; ok+breach counts
-//         completed responses against the objective, the error budget is
-//         breach/(ok+breach))
+//         come from the store itself. batch and serve emit the line
+//         unchanged.
 //   # TYPE rsat_<name> counter|gauge|histogram   ack for a metrics line:
 //         the whole registry in Prometheus text exposition format —
 //         multi-line, name-sorted, counters suffixed _total, histograms as

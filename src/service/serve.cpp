@@ -1,7 +1,6 @@
 #include "service/serve.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <future>
 #include <sstream>
@@ -103,8 +102,7 @@ SocketServer::SocketServer(const ServeConfig& cfg, int in_fd, int out_fd)
       bytes_in_(engine_.metrics().counter("serve.bytes_in")),
       bytes_out_(engine_.metrics().counter("serve.bytes_out")),
       backpressure_stalls_(
-          engine_.metrics().counter("serve.backpressure_stalls")),
-      slow_requests_(engine_.metrics().counter("serve.slow_requests")) {
+          engine_.metrics().counter("serve.backpressure_stalls")) {
   if (!cfg_.trace_file.empty()) {
     trace_sink_ = std::make_unique<TraceSink>(cfg_.trace_file);
   }
@@ -280,7 +278,6 @@ void SocketServer::pump_ready(Conn& c) {
     if (c.out_empty()) c.last_progress.reset();
     if (s.stats) {
       c.out_buf += engine_.stats_line();
-      if (cfg_.slo_ms > 0) c.out_buf += render_slo_fields();
       c.out_buf += '\n';
     } else if (s.metrics) {
       // Multi-line body; to_prometheus() frames it with a terminating
@@ -296,20 +293,11 @@ void SocketServer::pump_ready(Conn& c) {
       const std::string line = render_response(resp);
       c.out_buf += line;
       c.out_buf += '\n';
-      if (cfg_.slow_ms > 0 && resp.millis >= cfg_.slow_ms) {
-        slow_requests_.inc();
-        std::fprintf(stderr,
-                     "rsat serve: slow request id=%llu name=%s ms=%.3f "
-                     "cached=%d\n",
-                     static_cast<unsigned long long>(resp.id),
-                     resp.name.c_str(), resp.millis, resp.cache_hit ? 1 : 0);
-      }
       if (resp.trace != nullptr && trace_sink_ != nullptr) {
         resp.trace->encode_ms = encode.millis();
         resp.trace->bytes = line.size() + 1;
         trace_sink_->write(*resp.trace);
       }
-      if (cfg_.slo_ms > 0) record_slo(resp);
     } else {
       c.out_buf += s.pre;
       c.out_buf += '\n';
@@ -317,43 +305,6 @@ void SocketServer::pump_ready(Conn& c) {
     c.slots.pop_front();
     responses_.inc();
   }
-}
-
-void SocketServer::record_slo(const Response& resp) {
-  // Error payloads that never resolved an operation have nowhere to count.
-  if (resp.payload == nullptr || resp.payload->op == nullptr) return;
-  const std::string name(resp.payload->op->name());
-  auto it = slo_.find(name);
-  if (it == slo_.end()) {
-    const std::string prefix = "slo." + name + ".";
-    SloMetrics fresh;
-    fresh.ok = &engine_.metrics().counter(prefix + "ok");
-    fresh.breach = &engine_.metrics().counter(prefix + "breach");
-    it = slo_.emplace(name, fresh).first;
-  }
-  (resp.millis > cfg_.slo_ms ? it->second.breach : it->second.ok)->inc();
-}
-
-std::string SocketServer::render_slo_fields() const {
-  char buf[96];
-  std::string out;
-  std::snprintf(buf, sizeof buf, " slo_ms=%.3f", cfg_.slo_ms);
-  out += buf;
-  for (const auto& [name, m] : slo_) {  // std::map: name-sorted
-    const std::uint64_t ok = m.ok->value();
-    const std::uint64_t breach = m.breach->value();
-    const double rate =
-        ok + breach == 0
-            ? 0.0
-            : static_cast<double>(breach) / static_cast<double>(ok + breach);
-    std::snprintf(buf, sizeof buf,
-                  " slo.%s.ok=%llu slo.%s.breach=%llu slo.%s.breach_rate=%.3f",
-                  name.c_str(), static_cast<unsigned long long>(ok),
-                  name.c_str(), static_cast<unsigned long long>(breach),
-                  name.c_str(), rate);
-    out += buf;
-  }
-  return out;
 }
 
 void SocketServer::flush_conn(Conn& c) {
@@ -392,11 +343,12 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
   std::vector<pollfd> fds;
   std::vector<Conn*> polled;
   for (;;) {
-    // The timeout only paces should_stop. Zero when nothing new needs to
-    // arrive for the loop to make progress: a stream holds a line it may
-    // take, or the drain starts (streams with nothing left are reaped at
-    // once). Lines held behind the slot cap or a drain wait for the
-    // completion wake or POLLOUT that frees them.
+    // The timeout only paces should_stop (SIGINT in rsat, which cannot
+    // signal the wake handle). Zero when nothing new needs to arrive for
+    // the loop to make progress: a stream holds a line it may take, or the
+    // drain starts (streams with nothing left are reaped at once). Lines
+    // held behind the slot cap or a drain wait for the completion wake or
+    // POLLOUT that frees them.
     int timeout_ms = 20;
     if (!draining &&
         (stop_.load() || (should_stop && should_stop()))) {

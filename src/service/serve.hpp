@@ -18,10 +18,10 @@
 //    and one id namespace — an explicit cancel id= therefore reaches a
 //    matching request on any connection).
 //  * cancel answers immediately with its ack.
-//  * stats answers with a live telemetry line (AnalysisEngine::stats_line,
-//    plus the slo.* fields under --slo-ms); like every ack it is emitted
-//    in order behind this stream's earlier slots, so the snapshot
-//    reflects at least everything the stream already saw answered.
+//  * stats answers with a live telemetry line (AnalysisEngine::stats_line);
+//    like every ack it is emitted in order behind this stream's earlier
+//    slots, so the snapshot reflects at least everything the stream
+//    already saw answered.
 //  * drain is a barrier on the issuing stream: no further line of it is
 //    read until the "drained" ack — emitted in order behind the stream's
 //    earlier requests — has gone out, so every request submitted before
@@ -34,8 +34,8 @@
 //    once every complete line it sent has been answered and flushed.
 //
 // Shutdown (shutdown() from any thread, which wakes the loop at once, or
-// the should_stop poll — wired to SIGINT by rsat serve and rsat batch, and
-// read every ~20 ms): stop accepting and reading,
+// the should_stop poll — wired to SIGINT by rsat serve and rsat batch; the
+// ~20 ms poll timeout exists only to read it): stop accepting and reading,
 // cooperatively cancel every in-flight solve, flush every pending result
 // line (stop=cancelled), then close all connections and return from run().
 // Peers that stop reading are given kDrainGraceSeconds before their
@@ -46,7 +46,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,13 +74,6 @@ struct ServeConfig {
   /// When non-empty, enables engine trace spans and streams one JSONL
   /// event per request to this file (service/trace.hpp).
   std::string trace_file;
-  /// > 0 logs every request slower than this (wall-clock submit->respond)
-  /// to stderr and counts it as serve.slow_requests.
-  double slow_ms = 0;
-  /// > 0 enables per-operation latency objectives: every completed response
-  /// counts as slo.<op>.ok or slo.<op>.breach (millis vs this bound), and
-  /// the `stats` verb gains slo_ms/slo.<op>.* error-budget fields.
-  double slo_ms = 0;
 };
 
 class SocketServer {
@@ -139,7 +131,8 @@ class SocketServer {
 
   // Concurrency discipline: the server holds no mutex on purpose. All
   // stream state (conns_, each Conn's buffers and slot queue, next_id_,
-  // accept_backoff_) is owned by the single thread inside run(); the only
+  // accept_backoff_, trace_sink_) is owned by the single thread inside
+  // run(); the only
   // cross-thread channels are stop_ (an atomic flag set by shutdown()),
   // the engine's futures (resolved on pool workers, only *read* here), the
   // wake handle wake_ (signalled by pool workers after each future is set
@@ -158,11 +151,6 @@ class SocketServer {
   void emit_error_line(Conn& c, const std::string& msg);
   void pump_ready(Conn& c);
   void flush_conn(Conn& c);
-  /// Counts one response against the --slo-ms objective (slo.<op>.*).
-  void record_slo(const Response& resp);
-  /// " slo_ms=... slo.<op>.ok=... slo.<op>.breach=... slo.<op>.breach_rate=..."
-  /// appended to the stats verb line when --slo-ms is set (name-sorted).
-  std::string render_slo_fields() const;
 
   ServeConfig cfg_;
   /// Declared before engine_: the engine's destructor waits for its
@@ -192,17 +180,6 @@ class SocketServer {
   support::Counter& bytes_in_;
   support::Counter& bytes_out_;
   support::Counter& backpressure_stalls_;
-  support::Counter& slow_requests_;
-
-  /// Per-operation SLO counters (slo.<op>.ok / slo.<op>.breach), lazily
-  /// registered on an op's first completed response. Owned by the single
-  /// network thread like all connection state; the counters themselves live
-  /// in the engine registry so stats/metrics snapshots see them.
-  struct SloMetrics {
-    support::Counter* ok = nullptr;
-    support::Counter* breach = nullptr;
-  };
-  std::map<std::string, SloMetrics> slo_;
 };
 
 }  // namespace rs::service

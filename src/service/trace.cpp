@@ -101,76 +101,28 @@ std::string render_trace_json(const TraceSpan& span, double ts) {
   return out;
 }
 
-TraceSink::TraceSink(const Config& cfg) : cfg_(cfg) {
-  out_.open(cfg_.path, std::ios::out | std::ios::trunc);
-  RS_REQUIRE(out_.is_open(), "trace: cannot open trace file: " + cfg_.path);
-  buf_.reserve(cfg_.flush_threshold + 4096);
+TraceSink::TraceSink(const std::string& path) : path_(path) {
+  out_.open(path_, std::ios::out | std::ios::trunc);
+  RS_REQUIRE(out_.is_open(), "trace: cannot open trace file: " + path_);
+  buf_.reserve(kFlushThreshold + 4096);
 }
 
 TraceSink::~TraceSink() { flush(); }
 
 void TraceSink::write(const TraceSpan& span) {
-  // Render outside the lock: string building is the expensive part.
-  write_line(render_trace_json(span, support::unix_now_seconds()));
-}
-
-void TraceSink::write_line(std::string line) {
-  line += '\n';
-
-  std::string to_flush;
-  {
-    support::LockGuard lock(mu_);
-    if (buf_.size() + line.size() > cfg_.max_buffer) {
-      // Flusher is stalled (or the buffer is misconfigured tiny): drop
-      // rather than block the serving path.
-      ++dropped_;
-      return;
-    }
-    buf_ += line;
-    ++written_;
-    if (buf_.size() < cfg_.flush_threshold || flushing_) {
-      return;  // below threshold, or another thread is already flushing
-    }
-    flushing_ = true;
-    to_flush.swap(buf_);
+  buf_ += render_trace_json(span, support::unix_now_seconds());
+  buf_ += '\n';
+  ++written_;
+  if (buf_.size() >= kFlushThreshold) {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
   }
-  // File I/O outside the lock; concurrent writers keep appending to buf_.
-  out_.write(to_flush.data(), static_cast<std::streamsize>(to_flush.size()));
-  {
-    support::LockGuard lock(mu_);
-    flushing_ = false;
-  }
-  flushed_.notify_all();
 }
 
 void TraceSink::flush() {
-  support::UniqueLock lock(mu_);
-  // Wait out any in-flight threshold flush so lines stay whole and ordered.
-  // Explicit loop (not a predicate lambda) so the guarded read of flushing_
-  // stays visible to the thread-safety analysis.
-  while (flushing_) flushed_.wait(lock);
-  std::string to_flush;
-  to_flush.swap(buf_);
-  flushing_ = true;
-  lock.unlock();
-  if (!to_flush.empty()) {
-    out_.write(to_flush.data(), static_cast<std::streamsize>(to_flush.size()));
-  }
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
   out_.flush();
-  lock.lock();
-  flushing_ = false;
-  lock.unlock();
-  flushed_.notify_all();
-}
-
-std::uint64_t TraceSink::written() const {
-  support::LockGuard lock(mu_);
-  return written_;
-}
-
-std::uint64_t TraceSink::dropped() const {
-  support::LockGuard lock(mu_);
-  return dropped_;
 }
 
 }  // namespace rs::service

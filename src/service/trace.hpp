@@ -11,13 +11,12 @@
 // fills encode_ms/bytes and hands the span to the sink. Exactly one JSONL
 // event is therefore emitted per request, by the layer that delivered it.
 //
-// TraceSink is a bounded, lock-light JSONL writer: write() renders the
-// event *outside* the lock, appends it to an in-memory buffer under a
-// short critical section, and flushes the buffer to the file outside the
-// lock when it passes flush_threshold (only one thread flushes at a time;
-// others keep appending). If the buffer hits max_buffer while a flush is
-// stalled on a slow disk, events are dropped and counted — tracing
-// degrades, it never backpressures the serving path.
+// TraceSink is a buffered JSONL writer owned by one thread, like the rest
+// of the serve loop's stream state: the loop thread (SocketServer::run) is
+// its only writer in serve and batch. write() renders the event into a
+// buffer that goes to the file once it passes kFlushThreshold; flush() and
+// the destructor write the rest. It takes no lock, so a second writing
+// thread would need one.
 //
 // Event schema (one JSON object per line; see README "Observability" for
 // the field table). Keys always present:
@@ -35,9 +34,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace rs::service {
 
@@ -80,56 +76,34 @@ struct TraceSpan {
 /// event timestamp in fractional Unix seconds (the sink stamps write time).
 std::string render_trace_json(const TraceSpan& span, double ts);
 
-/// Bounded, lock-light JSONL writer (see header comment).
+/// Single-owner buffered JSONL writer (see header comment).
 class TraceSink {
  public:
-  struct Config {
-    std::string path;
-    /// Buffer size that triggers an (out-of-lock) flush to the file.
-    std::size_t flush_threshold = std::size_t{64} << 10;
-    /// Hard buffer cap: events arriving while the buffer is this full are
-    /// dropped (and counted) instead of blocking the caller.
-    std::size_t max_buffer = std::size_t{8} << 20;
-  };
+  /// Buffered bytes past which write() hands the buffer to the file.
+  static constexpr std::size_t kFlushThreshold = std::size_t{64} << 10;
 
   /// Opens (truncates) the file; throws support::PreconditionError when it
   /// cannot be created.
-  explicit TraceSink(const std::string& path) : TraceSink(Config{path}) {}
-  explicit TraceSink(const Config& cfg);
+  explicit TraceSink(const std::string& path);
   ~TraceSink();  // flushes
 
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Renders and enqueues one event. Thread-safe; never blocks on file I/O
-  /// unless this thread is the one elected to flush. RSAT_EXCLUDES encodes
-  /// the render-outside-lock discipline: write() acquires mu_ itself (for
-  /// the short buffer append only), so no caller may already hold it.
-  void write(const TraceSpan& span) RSAT_EXCLUDES(mu_);
+  /// Renders and buffers one event (the sink appends the newline).
+  void write(const TraceSpan& span);
 
-  /// Drains the buffer to the file and flushes the stream.
-  void flush() RSAT_EXCLUDES(mu_);
+  /// Writes the buffer to the file and flushes the stream.
+  void flush();
 
-  std::uint64_t written() const RSAT_EXCLUDES(mu_);
-  std::uint64_t dropped() const RSAT_EXCLUDES(mu_);
-  const std::string& path() const { return cfg_.path; }
+  std::uint64_t written() const { return written_; }
+  const std::string& path() const { return path_; }
 
  private:
-  /// Enqueues one rendered JSONL line (the sink appends the newline).
-  void write_line(std::string line) RSAT_EXCLUDES(mu_);
-
-  Config cfg_;
-  /// Deliberately NOT guarded by mu_: the flusher-election protocol
-  /// (flushing_ flag) guarantees at most one thread touches out_ at a
-  /// time, and it does so with mu_ released so file I/O never serializes
-  /// writers. Single-owner-by-protocol, not by lock.
+  std::string path_;
   std::ofstream out_;
-  mutable support::Mutex mu_;
-  support::CondVar flushed_;
-  std::string buf_ RSAT_GUARDED_BY(mu_);
-  bool flushing_ RSAT_GUARDED_BY(mu_) = false;
-  std::uint64_t written_ RSAT_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ RSAT_GUARDED_BY(mu_) = 0;
+  std::string buf_;
+  std::uint64_t written_ = 0;
 };
 
 }  // namespace rs::service

@@ -3,11 +3,10 @@
 // The algorithms in this library encode non-trivial graph/ILP invariants;
 // silently violating one produces *wrong experimental numbers*, which is far
 // worse than an abort. RS_REQUIRE therefore throws (recoverable, used for
-// user-facing precondition violations) and RS_CHECK aborts with a location
-// (internal invariant corruption).
+// user-facing precondition violations), and RS_CHECK throws the same error
+// for internal invariant corruption.
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -19,12 +18,14 @@ class PreconditionError : public std::logic_error {
   explicit PreconditionError(const std::string& what) : std::logic_error(what) {}
 };
 
-[[noreturn]] inline void throw_precondition(const char* expr, const char* file,
-                                            int line, const std::string& msg) {
-  std::ostringstream os;
-  os << "precondition failed: " << expr << " at " << file << ':' << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw PreconditionError(os.str());
+/// The message names the failed expression, not its source location: it
+/// reaches clients verbatim (a result line's msg=), so it must not depend
+/// on the build's checkout path or on where the check sits in its file.
+[[noreturn]] inline void throw_precondition(const char* expr,
+                                            const std::string& msg) {
+  std::string what = std::string("precondition failed: ") + expr;
+  if (!msg.empty()) what += " — " + msg;
+  throw PreconditionError(what);
 }
 
 }  // namespace rs::support
@@ -33,7 +34,7 @@ class PreconditionError : public std::logic_error {
 #define RS_REQUIRE(cond, msg)                                               \
   do {                                                                      \
     if (!(cond)) {                                                          \
-      ::rs::support::throw_precondition(#cond, __FILE__, __LINE__, (msg));  \
+      ::rs::support::throw_precondition(#cond, (msg));                      \
     }                                                                       \
   } while (false)
 
@@ -41,7 +42,7 @@ class PreconditionError : public std::logic_error {
 #define RS_CHECK(cond)                                                     \
   do {                                                                     \
     if (!(cond)) {                                                         \
-      ::rs::support::throw_precondition(#cond, __FILE__, __LINE__,         \
+      ::rs::support::throw_precondition(#cond,                             \
                                         "internal invariant violated");    \
     }                                                                      \
   } while (false)

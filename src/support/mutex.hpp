@@ -10,9 +10,7 @@
 //
 //   Mutex      — std::mutex as a capability.
 //   LockGuard  — scoped acquire/release (std::lock_guard shape).
-//   UniqueLock — scoped but relockable: explicit unlock()/lock() for the
-//                "publish under the lock, do I/O outside it" patterns
-//                (TraceSink), and the handle CondVar waits on.
+//   UniqueLock — scoped acquire/release that CondVar can wait on.
 //   CondVar    — std::condition_variable over a UniqueLock. There is no
 //                predicate-lambda overload on purpose: the analysis cannot
 //                see that a closure runs under the caller's lock, so
@@ -71,36 +69,19 @@ class RSAT_SCOPED_CAPABILITY LockGuard {
   Mutex& mu_;
 };
 
-/// Scoped but relockable: tracks whether it currently holds the mutex, so
-/// code can release around a slow section (file I/O, a flush) and
-/// re-acquire — with the analysis checking that guarded state is only
-/// touched while held. Also the handle CondVar waits require.
+/// Scoped acquire/release, like LockGuard, and the handle CondVar waits
+/// require (CondVar releases and re-acquires the raw mutex inside a wait).
 class RSAT_SCOPED_CAPABILITY UniqueLock {
  public:
-  explicit UniqueLock(Mutex& mu) RSAT_ACQUIRE(mu) : mu_(mu), held_(true) {
-    mu_.lock();
-  }
-  ~UniqueLock() RSAT_RELEASE() {
-    if (held_) mu_.unlock();
-  }
+  explicit UniqueLock(Mutex& mu) RSAT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  ~UniqueLock() RSAT_RELEASE() { mu_.unlock(); }
 
   UniqueLock(const UniqueLock&) = delete;
   UniqueLock& operator=(const UniqueLock&) = delete;
 
-  void lock() RSAT_ACQUIRE() {
-    mu_.lock();
-    held_ = true;
-  }
-  void unlock() RSAT_RELEASE() {
-    mu_.unlock();
-    held_ = false;
-  }
-  bool held() const { return held_; }
-
  private:
   friend class CondVar;
   Mutex& mu_;
-  bool held_;
 };
 
 /// Condition variable over a UniqueLock that must be held at every wait.

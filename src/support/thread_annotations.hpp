@@ -65,8 +65,8 @@
 
 /// Function attribute: the caller must NOT hold the given capabilities —
 /// the function acquires them internally. This is the vocabulary for the
-/// repo's "work outside the lock" patterns: DiskStore file I/O, TraceSink
-/// rendering/flushing, MetricsRegistry name lookup.
+/// repo's "work outside the lock" patterns: DiskStore file I/O and
+/// MetricsRegistry name lookup.
 #define RSAT_EXCLUDES(...) RSAT_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
 
 /// Function attribute: asserts (at runtime, by contract) that the

@@ -528,6 +528,45 @@ TEST(Engine, ErrorsAreReportedAndNotCached) {
   EXPECT_FALSE(fields.at("msg").empty());
 }
 
+TEST(Engine, ErrorMessagesNameTheCheckNotItsSourceLocation) {
+  // msg= is part of the result line, so it may depend on the request and
+  // the check's text only: no checkout path, no line number.
+  AnalysisEngine engine{EngineConfig{}};
+  const auto msg = [&engine](const std::string& line) {
+    const std::string rendered = service::render_response(
+        engine.run(service::parse_request_line(line, 1)));
+    EXPECT_EQ(rendered.find(".cpp"), std::string::npos) << rendered;
+    return service::parse_fields(rendered).at("msg");
+  };
+  EXPECT_EQ(msg("reduce kernel=lin-ddot limits=0,4"),
+            "precondition failed: limits[t] >= 1 — need at least one "
+            "register per type");
+  EXPECT_EQ(msg("globalreduce prog=diamond limits=1,1"),
+            "precondition failed: effective[t] >= 1 — register file too "
+            "small for the move margin");
+}
+
+TEST(Engine, IlpEngineAnswersWhenARefactorizationFails) {
+  // The intLP of complex-mul2 hits a singular basis at a periodic
+  // refactorization after about 1 s (RelWithDebInfo). That ends the one
+  // LP, not the request: the line keeps the greedy witness, t1 RS 12,
+  // which engine=exact proves. A build slow enough to reach the budget
+  // first (a sanitizer under load) answers stop=timeout with a weaker
+  // witnessed bound instead.
+  AnalysisEngine engine{EngineConfig{}};
+  const std::string line = service::render_response(engine.run(
+      service::parse_request_line(
+          "analyze kernel=complex-mul2 engine=ilp budget=20", 1)));
+  const auto f = service::parse_fields(line);
+  ASSERT_EQ(f.at("status"), "ok") << line;
+  EXPECT_EQ(f.at("t1.proven"), "0") << line;
+  EXPECT_LE(support::parse_ll(f.at("t1.rs"), "t1.rs"), 12) << line;
+  if (f.at("stop") != "timeout") {
+    EXPECT_EQ(f.at("stop"), "limit") << line;
+    EXPECT_EQ(f.at("t1.rs"), "12") << line;
+  }
+}
+
 TEST(Engine, StatsTrackLatencyPercentiles) {
   AnalysisEngine engine{EngineConfig{}};
   for (int i = 0; i < 4; ++i) {

@@ -28,17 +28,11 @@
 //       summary, and exits 0.
 //   rsat serve [--host H] [--port P] [--port-file F] [--threads N]
 //       [--cache-mb M] [--cache-dir D] [--trace-file F]
-//       [--metrics-json F] [--metrics-interval-s N] [--slow-ms T]
-//       [--slo-ms T] [--vliw]
+//       [--metrics-json F] [--vliw]
 //       the same loop over TCP, one stream per connection (port 0 =
 //       ephemeral; the bound port goes to stderr and --port-file). SIGINT
 //       cancels in-flight solves, flushes every pending result line, then
 //       shuts down cleanly.
-//   rsat top --port P [--host H] [--interval-s N] [--once]
-//       poll a running serve's `stats` verb and render a refreshing
-//       per-operation terminal table (requests, hit/miss split, p50, SLO
-//       error budget when the server runs with --slo-ms). --once prints a
-//       single snapshot without clearing the screen and exits.
 //
 // --cache-dir D enables the persistent on-disk result tier under D (shared
 // by batch and serve; entries survive restarts and are keyed by the
@@ -52,13 +46,6 @@
 //                     per-type value counts) to F
 //   --metrics-json F  full metrics-registry snapshot (counters, gauges,
 //                     histogram quantiles) written to F at exit
-//   --metrics-interval-s N  serve only: atomically rewrite --metrics-json
-//                     every N seconds (temp + rename), so a crashed serve
-//                     still leaves a recent snapshot on disk
-//   --slow-ms T       serve only: log requests slower than T ms to stderr
-//   --slo-ms T        serve only: per-op latency objective; completed
-//                     responses count as slo.<op>.ok or slo.<op>.breach
-//                     and the stats verb gains slo.* error-budget fields
 // The `stats` protocol verb returns the same registry live, as one
 // key=value line, over batch stdin or a serve connection; the `metrics`
 // verb returns it in Prometheus text exposition format (terminated by a
@@ -70,14 +57,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "cfg/generators.hpp"
 #include "cfg/io.hpp"
@@ -117,9 +101,7 @@ int usage() {
         "             (stdin or the manifest, answered like one serve stream)\n"
         "  rsat serve [--host H] [--port P] [--port-file F] [--threads N]\n"
         "             [--cache-mb M] [--cache-dir D] [--trace-file F]\n"
-        "             [--metrics-json F] [--metrics-interval-s N]\n"
-        "             [--slow-ms T] [--slo-ms T] [--vliw]\n"
-        "  rsat top   --port P [--host H] [--interval-s N] [--once]\n"
+        "             [--metrics-json F] [--vliw]\n"
         "\n"
         "operations (one-shot <op> and batch/serve request lines: "
      << rs::service::operation_names("|")
@@ -276,24 +258,23 @@ void print_summary(rs::service::SocketServer& server,
   std::fprintf(stderr, "wall: %s, %zu threads\n", wall.c_str(),
                server.engine().thread_count());
   if (const rs::service::TraceSink* sink = server.trace_sink()) {
-    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
+    std::fprintf(stderr, "trace: %llu events to %s\n",
                  static_cast<unsigned long long>(sink->written()),
-                 sink->path().c_str(),
-                 static_cast<unsigned long long>(sink->dropped()));
+                 sink->path().c_str());
   }
 }
 
 /// --metrics-json: the whole registry (engine.*, op.*, store.*, pool.*,
 /// serve.*, ...) as one JSON object, written atomically.
 void write_metrics_json(const rs::support::MetricsRegistry& metrics,
-                        const std::string& path, bool announce = true) {
+                        const std::string& path) {
   if (path.empty()) return;
   if (!rs::support::write_file_atomic(path, metrics.to_json() + "\n")) {
     std::fprintf(stderr, "warning: cannot write metrics json %s\n",
                  path.c_str());
     return;
   }
-  if (announce) std::fprintf(stderr, "metrics json: %s\n", path.c_str());
+  std::fprintf(stderr, "metrics json: %s\n", path.c_str());
 }
 
 /// The flags batch and serve share. Consumes argv[i] (and its value) and
@@ -329,7 +310,6 @@ bool parse_engine_flag(int argc, char** argv, int& i,
 int cmd_serve(int argc, char** argv) {
   rs::service::ServeConfig cfg;
   std::string metrics_json;
-  double metrics_interval_s = 0;
   try {
     for (int i = 2; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
@@ -340,23 +320,10 @@ int cmd_serve(int argc, char** argv) {
                    "--port must be in [0, 65535]");
       } else if (!std::strcmp(argv[i], "--port-file") && i + 1 < argc) {
         cfg.port_file = argv[++i];
-      } else if (!std::strcmp(argv[i], "--metrics-interval-s") &&
-                 i + 1 < argc) {
-        metrics_interval_s = rs::support::parse_budget_seconds(
-            argv[++i], "--metrics-interval-s");
-        RS_REQUIRE(metrics_interval_s > 0,
-                   "--metrics-interval-s must be > 0");
-      } else if (!std::strcmp(argv[i], "--slow-ms") && i + 1 < argc) {
-        cfg.slow_ms = rs::support::parse_budget_seconds(argv[++i], "--slow-ms");
-      } else if (!std::strcmp(argv[i], "--slo-ms") && i + 1 < argc) {
-        cfg.slo_ms = rs::support::parse_budget_seconds(argv[++i], "--slo-ms");
-        RS_REQUIRE(cfg.slo_ms > 0, "--slo-ms must be > 0");
       } else if (!parse_engine_flag(argc, argv, i, cfg, metrics_json)) {
         RS_REQUIRE(false, std::string("unknown serve flag ") + argv[i]);
       }
     }
-    RS_REQUIRE(metrics_interval_s == 0 || !metrics_json.empty(),
-               "--metrics-interval-s requires --metrics-json");
   } catch (const rs::support::PreconditionError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return usage();
@@ -379,19 +346,7 @@ int cmd_serve(int argc, char** argv) {
   std::fflush(stderr);
 
   const rs::support::Timer wall;
-  // --metrics-interval-s: the loop's stop poll (every <= 20 ms) also
-  // re-snapshots --metrics-json atomically (temp + rename), so a crashed
-  // or SIGKILLed serve leaves a recent metrics file on disk.
-  rs::support::Timer since_snapshot;
-  server.run([&] {
-    if (metrics_interval_s > 0 &&
-        since_snapshot.seconds() >= metrics_interval_s) {
-      since_snapshot.reset();
-      write_metrics_json(server.engine().metrics(), metrics_json,
-                         /*announce=*/false);
-    }
-    return g_interrupted != 0;
-  });
+  server.run([] { return g_interrupted != 0; });
 
   const rs::service::CounterSnapshot counters =
       server.engine().metrics().counters();
@@ -480,129 +435,6 @@ int cmd_batch(int argc, char** argv) {
   return failed == 0 ? 0 : 1;
 }
 
-/// One `rsat top` frame: the stats verb line rendered as a summary header
-/// plus a per-operation table (and SLO columns when the server reports
-/// slo_ms). Parsing reuses the protocol's own field splitter, so the view
-/// cannot drift from what the stats verb actually emits.
-void render_top_frame(const std::string& stats_line, const std::string& where,
-                      bool clear) {
-  const std::map<std::string, std::string> f =
-      rs::service::parse_fields(stats_line);
-  const auto field = [&f](const std::string& key) -> std::string {
-    const auto it = f.find(key);
-    return it == f.end() ? std::string("0") : it->second;
-  };
-  if (clear) std::fputs("\033[2J\033[H", stdout);  // clear + home
-  std::printf("rsat top — %s\n", where.c_str());
-  std::printf(
-      "submitted %s  completed %s  errors %s  queue %s  hit_rate %s\n",
-      field("submitted").c_str(), field("completed").c_str(),
-      field("errors").c_str(), field("queue_depth").c_str(),
-      field("hit_rate").c_str());
-  std::printf("latency ms: p50 %s  p95 %s  p99 %s  max %s\n",
-              field("p50_ms").c_str(), field("p95_ms").c_str(),
-              field("p99_ms").c_str(), field("max_ms").c_str());
-  const bool slo = f.count("slo_ms") != 0;
-  if (slo) std::printf("slo_ms %s\n", field("slo_ms").c_str());
-  std::printf("\n%-14s %10s %10s %10s %10s", "op", "submitted", "hits",
-              "misses", "p50_ms");
-  if (slo) std::printf(" %10s %10s %12s", "slo_ok", "slo_breach", "breach_rate");
-  std::printf("\n");
-  // Every op with a stats group has an op.<name>.submitted key; the map is
-  // sorted, so rows come out name-ordered like the line itself.
-  for (const auto& [key, value] : f) {
-    static_cast<void>(value);
-    const std::string prefix = "op.";
-    const std::string suffix = ".submitted";
-    if (key.rfind(prefix, 0) != 0 || key.size() <= prefix.size() + suffix.size() ||
-        key.compare(key.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string name =
-        key.substr(prefix.size(), key.size() - prefix.size() - suffix.size());
-    std::printf("%-14s %10s %10s %10s %10s", name.c_str(),
-                field("op." + name + ".submitted").c_str(),
-                field("op." + name + ".hits").c_str(),
-                field("op." + name + ".misses").c_str(),
-                field("op." + name + ".p50_ms").c_str());
-    if (slo) {
-      std::printf(" %10s %10s %12s", field("slo." + name + ".ok").c_str(),
-                  field("slo." + name + ".breach").c_str(),
-                  field("slo." + name + ".breach_rate").c_str());
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
-}
-
-/// `rsat top`: poll a running serve's stats verb over one persistent
-/// connection and render a refreshing per-op table.
-int cmd_top(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  int port = -1;
-  double interval_s = 2.0;
-  bool once = false;
-  try {
-    for (int i = 2; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
-        host = argv[++i];
-      } else if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-        port = rs::support::parse_int(argv[++i], "--port");
-        RS_REQUIRE(port >= 0 && port <= 65535, "--port must be in [0, 65535]");
-      } else if (!std::strcmp(argv[i], "--interval-s") && i + 1 < argc) {
-        interval_s =
-            rs::support::parse_budget_seconds(argv[++i], "--interval-s");
-        RS_REQUIRE(interval_s > 0, "--interval-s must be > 0");
-      } else if (!std::strcmp(argv[i], "--once")) {
-        once = true;
-      } else {
-        RS_REQUIRE(false, std::string("unknown top flag ") + argv[i]);
-      }
-    }
-    RS_REQUIRE(port >= 0, "rsat top requires --port");
-  } catch (const rs::support::PreconditionError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return usage();
-  }
-
-  const int fd = rs::support::connect_tcp(host, port);
-  const std::string where = host + ":" + std::to_string(port);
-  std::string buf;
-  int ret = 0;
-  for (;;) {
-    if (!rs::support::send_all(fd, "stats\n")) {
-      std::fprintf(stderr, "rsat top: connection lost to %s\n", where.c_str());
-      ret = 1;
-      break;
-    }
-    std::size_t nl;
-    bool lost = false;
-    while ((nl = buf.find('\n')) == std::string::npos) {
-      const long n = rs::support::recv_some(fd, &buf);
-      if (n == 0 || n == -2) {
-        lost = true;
-        break;
-      }
-      if (n == -1) {  // connect_tcp is blocking, but stay robust to EAGAIN
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-    if (lost) {
-      std::fprintf(stderr, "rsat top: connection lost to %s\n", where.c_str());
-      ret = 1;
-      break;
-    }
-    const std::string line = buf.substr(0, nl);
-    buf.erase(0, nl + 1);
-    render_top_frame(line, where, !once);
-    if (once) break;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<long long>(interval_s * 1000)));
-  }
-  rs::support::close_fd(fd);
-  return ret;
-}
-
 int cmd_dump(int argc, char** argv) {
   if (argc < 3) return usage();
   const bool vliw = argc > 3 && !std::strcmp(argv[3], "--vliw");
@@ -651,7 +483,6 @@ int main(int argc, char** argv) {
     if (cmd == "dumpprog") return cmd_dumpprog(argc, argv);
     if (cmd == "batch") return cmd_batch(argc, argv);
     if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "top") return cmd_top(argc, argv);
     return usage();
   } catch (const rs::support::PreconditionError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
